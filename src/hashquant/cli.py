@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_run_config
+from .config import load_run_config
 from .errors import HashQuantError
 from .evaluate import (
     CostModel,
@@ -98,13 +98,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _encode_and_index(model, features, modality, assign_rounds=3):
+    """encoder_forward -> assign_indicators -> build_index for one modality."""
+    encoder_a, encoder_b, quantizer = model
+    encoded = encoder_forward(encoder_a if modality == "a" else encoder_b, features.values)
+    indicators = assign_indicators(encoded, quantizer, None, max_rounds=assign_rounds)
+    return encoded, build_index(encoded, quantizer, indicators, modality=modality)
+
+
 def cmd_build(args) -> int:
     features = load_features(args.features)
-    encoder_a, encoder_b, quantizer = load_model(args.model)
-    encoder = encoder_a if args.modality == "a" else encoder_b
-    encoded = encoder_forward(encoder, features.values)
-    indicators = assign_indicators(encoded, quantizer, None, max_rounds=args.assign_rounds)
-    index = build_index(encoded, quantizer, indicators, modality=args.modality)
+    _, index = _encode_and_index(load_model(args.model), features, args.modality, args.assign_rounds)
     save_index(index, args.out)
     print(f"wrote index of {index.count} items to {args.out}")
     return 0
@@ -150,17 +154,13 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _eval_tasks(args, config: RunConfig):
+def _eval_tasks(args):
     features_a = load_features(args.features_a)
     features_b = load_features(args.features_b)
     labels = load_labels(args.labels)
-    encoder_a, encoder_b, quantizer = load_model(args.model)
-    encoded_a = encoder_forward(encoder_a, features_a.values)
-    encoded_b = encoder_forward(encoder_b, features_b.values)
-    indicators_a = assign_indicators(encoded_a, quantizer, None)
-    indicators_b = assign_indicators(encoded_b, quantizer, None)
-    index_a = build_index(encoded_a, quantizer, indicators_a, modality="a")
-    index_b = build_index(encoded_b, quantizer, indicators_b, modality="b")
+    model = load_model(args.model)
+    encoded_a, index_a = _encode_and_index(model, features_a, "a")
+    encoded_b, index_b = _encode_and_index(model, features_b, "b")
     relevance = _relevance(labels, labels)
     task_i2t = RetrievalTask(queries=encoded_a, index=index_b, relevant_sets=tuple(relevance))
     task_t2i = RetrievalTask(queries=encoded_b, index=index_a, relevant_sets=tuple(relevance.T))
@@ -169,7 +169,7 @@ def _eval_tasks(args, config: RunConfig):
 
 def cmd_eval(args) -> int:
     config = load_run_config(args.config, _parse_overrides(args.set))
-    task_i2t, task_t2i, encoded_a, encoded_b = _eval_tasks(args, config)
+    task_i2t, task_t2i, encoded_a, encoded_b = _eval_tasks(args)
     echo = config.echo_lines() + [
         f"mode={args.mode}",
         f"candidates={args.candidates}",
@@ -213,17 +213,17 @@ def cmd_bench(args) -> int:
         if missing:
             raise HashQuantError(f"--sweep alpha needs {', '.join(missing)}")
         config = load_run_config(args.config, _parse_overrides(args.set))
-        task_i2t, task_t2i, _, _ = _eval_tasks(args, config)
+        task_i2t, task_t2i, _, _ = _eval_tasks(args)
         alphas = [float(a) for a in args.alphas.split(",")]
         points = sweep_alpha(task_i2t, task_t2i, alphas, cutoff=args.r, repeats=args.repeats)
-        count, dim = task_i2t.index.count, task_i2t.index.dim
+        index = task_i2t.index
         rows = []
         for point in points:
             cost = CostModel(
-                count=count,
-                dim=dim,
-                num_books=config.m,
-                book_size=config.k,
+                count=index.count,
+                dim=index.dim,
+                num_books=index.quantizer.num_books,
+                book_size=index.quantizer.book_size,
                 candidates=point.candidates,
             )
             rows.append(

@@ -18,6 +18,10 @@ class TruncatedFile(HashQuantError):
     """File ended before the payload implied by its header."""
 
 
+class TrailingBytes(HashQuantError):
+    """File continues past the payload implied by its header."""
+
+
 class VersionMismatch(HashQuantError):
     """File format version is not supported."""
 

@@ -9,20 +9,12 @@ dissimilar.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CountMismatch,
-    IndexOutOfRange,
-    IoFailure,
-    NonFiniteValue,
-    TooManyClusters,
-    TruncatedFile,
-)
+from .binfile import read_file, write_file
+from .errors import CountMismatch, IndexOutOfRange, NonFiniteValue, TooManyClusters
 
 FEATURE_MAGIC = b"DFM1"
 LABEL_MAGIC = b"LBL1"
@@ -122,34 +114,14 @@ def save_features(matrix: FeatureMatrix, path) -> None:
     """Write a feature matrix in the DFM1 layout (header + float32 LE payload)."""
     if not isinstance(matrix, FeatureMatrix):
         matrix = FeatureMatrix(np.asarray(matrix))
-    header = FEATURE_MAGIC + struct.pack("<II", matrix.count, matrix.dim)
-    payload = matrix.values.astype("<f4", copy=False).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, FEATURE_MAGIC, (matrix.count, matrix.dim), [matrix.values.astype("<f4", copy=False)])
 
 
 def load_features(path) -> FeatureMatrix:
     """Read a DFM1 file back into a FeatureMatrix, bit-exact."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4:
-        raise TruncatedFile(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != FEATURE_MAGIC:
-        raise BadMagic(f"{path}: expected {FEATURE_MAGIC!r}, found {blob[:4]!r}")
-    if len(blob) < 12:
-        raise TruncatedFile(f"{path}: header cut short at {len(blob)} bytes")
-    count, dim = struct.unpack("<II", blob[4:12])
-    expected = 12 + 4 * count * dim
-    if len(blob) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} bytes for {count}x{dim}, got {len(blob)}")
-    values = np.frombuffer(blob, dtype="<f4", count=count * dim, offset=12)
+    (count, dim), (values,) = read_file(
+        path, FEATURE_MAGIC, 2, lambda count, dim: [("<f4", count * dim)]
+    )
     values = values.reshape(count, dim)
     if not np.isfinite(values).all():
         raise NonFiniteValue(f"{path}: payload contains NaN or infinity")
@@ -158,34 +130,14 @@ def load_features(path) -> FeatureMatrix:
 
 def save_labels(labels: LabelSet, path) -> None:
     """Write a label set in the LBL1 layout (header + uint64 LE masks)."""
-    header = LABEL_MAGIC + struct.pack("<II", labels.count, labels.num_labels)
-    payload = labels.masks.astype("<u8", copy=False).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_file(path, LABEL_MAGIC, (labels.count, labels.num_labels), [labels.masks.astype("<u8", copy=False)])
 
 
 def load_labels(path) -> LabelSet:
     """Read an LBL1 file back into a LabelSet."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4:
-        raise TruncatedFile(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != LABEL_MAGIC:
-        raise BadMagic(f"{path}: expected {LABEL_MAGIC!r}, found {blob[:4]!r}")
-    if len(blob) < 12:
-        raise TruncatedFile(f"{path}: header cut short at {len(blob)} bytes")
-    count, num_labels = struct.unpack("<II", blob[4:12])
-    expected = 12 + 8 * count
-    if len(blob) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} bytes for {count} masks, got {len(blob)}")
-    masks = np.frombuffer(blob, dtype="<u8", count=count, offset=12)
+    (_, num_labels), (masks,) = read_file(
+        path, LABEL_MAGIC, 2, lambda count, num_labels: [("<u8", count)]
+    )
     return LabelSet(num_labels=num_labels, masks=masks)
 
 

@@ -10,21 +10,12 @@ makes them both baselines and oracles for the endpoint cases.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CountMismatch,
-    DimMismatch,
-    IoFailure,
-    TooManyCandidates,
-    TruncatedFile,
-    VersionMismatch,
-    ZeroNormVector,
-)
+from .binfile import read_file, write_file
+from .errors import CountMismatch, DimMismatch, TooManyCandidates, ZeroNormVector
 from .features import feature_values
 from .hashing import (
     PackedCodes,
@@ -128,6 +119,14 @@ def _query_row(query_feature, dim: int) -> np.ndarray:
     return row
 
 
+def _check_top_k(top_k: int, available: int) -> None:
+    """Every mode returns between 0 and `available` results."""
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative, got {top_k}")
+    if top_k > available:
+        raise TooManyCandidates(f"top_k {top_k} exceeds the {available} items available")
+
+
 def _rank_candidates(scores: np.ndarray, candidates: np.ndarray, top_k: int) -> RankedResult:
     order = np.lexsort((candidates, -scores))[:top_k]
     return RankedResult(indices=candidates[order], scores=scores[order])
@@ -138,6 +137,8 @@ def _top_by_score(scores: np.ndarray, top_k: int) -> np.ndarray:
     n = scores.shape[0]
     if top_k >= n:
         return np.lexsort((np.arange(n), -scores))[:top_k]
+    if top_k == 0:
+        return np.empty(0, dtype=np.int64)
     picked = np.argpartition(-scores, top_k - 1)[:top_k]
     # widen to every item tied with the boundary score so index ties stay exact
     pool = np.flatnonzero(scores >= scores[picked].min())
@@ -161,8 +162,7 @@ def two_stage_query(
     row = _query_row(query_feature, index.dim)
     if candidates > index.count:
         raise TooManyCandidates(f"asked for {candidates} of {index.count} items")
-    if top_k > candidates:
-        raise TooManyCandidates(f"top_k {top_k} exceeds candidate budget {candidates}")
+    _check_top_k(top_k, candidates)
     query_codes = sign_encode(row.reshape(1, -1))
     shortlist = hamming_top_candidates(query_codes, index.codes, candidates)
     table = build_lookup_table(row, index.quantizer)
@@ -173,8 +173,7 @@ def two_stage_query(
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Asymmetric quantizer similarity against every item (no hash filter)."""
     row = _query_row(query_feature, index.dim)
-    if top_k > index.count:
-        raise TooManyCandidates(f"asked for {top_k} of {index.count} items")
+    _check_top_k(top_k, index.count)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
     chosen = _top_by_score(scores, top_k)
@@ -184,8 +183,7 @@ def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ran
 def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Rank by ascending Hamming distance only; score is minus the distance."""
     row = _query_row(query_feature, index.dim)
-    if top_k > index.count:
-        raise TooManyCandidates(f"asked for {top_k} of {index.count} items")
+    _check_top_k(top_k, index.count)
     query_codes = sign_encode(row.reshape(1, -1))
     dists = hamming_distances(query_codes, index.codes)
     keys = (dists << np.uint64(32)) | np.arange(index.count, dtype=np.uint64)
@@ -197,8 +195,7 @@ def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedR
     """Cosine similarity against uncompressed features; the accuracy ceiling."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)
     row = _query_row(query_feature, database.shape[1])
-    if top_k > database.shape[0]:
-        raise TooManyCandidates(f"asked for {top_k} of {database.shape[0]} items")
+    _check_top_k(top_k, database.shape[0])
     query_norm = np.linalg.norm(row)
     if query_norm == 0:
         raise ZeroNormVector("query vector has zero norm")
@@ -215,62 +212,36 @@ def save_index(index: RetrievalIndex, path) -> None:
 
     Header (magic, version, N, n, m, k as u32 LE), then the packed hash
     words (u64 LE, row-major), the codebooks as float32 (book-major,
-    column-major within each book), and the indicators as u16 LE.
+    column-major within each book), and the indicators as u16 LE.  The
+    float32 codebooks and the absent `modality` are part of the format:
+    a loaded index scores with the float32-rounded codebooks.
     """
-    header = INDEX_MAGIC + struct.pack(
-        "<IIIII",
-        INDEX_VERSION,
-        index.count,
-        index.dim,
-        index.quantizer.num_books,
-        index.quantizer.book_size,
-    )
-    words = index.codes.words.astype("<u8", copy=False).tobytes()
+    quantizer = index.quantizer
+    header = (INDEX_VERSION, index.count, index.dim, quantizer.num_books, quantizer.book_size)
     # (m, n, k) -> column-major per book means writing (m, k, n) row-major
-    books = index.quantizer.codebooks.transpose(0, 2, 1).astype("<f4").tobytes()
-    indicator_bytes = index.indicators.indices.astype("<u2").tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(words)
-            fh.write(books)
-            fh.write(indicator_bytes)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    arrays = [
+        index.codes.words.astype("<u8", copy=False),
+        quantizer.codebooks.transpose(0, 2, 1).astype("<f4"),
+        index.indicators.indices.astype("<u2"),
+    ]
+    write_file(path, INDEX_MAGIC, header, arrays)
+
+
+def _index_layout(version, count, dim, num_books, book_size):
+    return [
+        ("<u8", count * words_per_code(dim)),
+        ("<f4", num_books * book_size * dim),
+        ("<u2", count * num_books),
+    ]
 
 
 def load_index(path) -> RetrievalIndex:
     """Read an HQX1 file back; bit-exact inverse of save_index."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4:
-        raise TruncatedFile(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != INDEX_MAGIC:
-        raise BadMagic(f"{path}: expected {INDEX_MAGIC!r}, found {blob[:4]!r}")
-    if len(blob) < 24:
-        raise TruncatedFile(f"{path}: header cut short at {len(blob)} bytes")
-    version, count, dim, num_books, book_size = struct.unpack("<IIIII", blob[4:24])
-    if version != INDEX_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {INDEX_VERSION}")
-    words_n = count * words_per_code(dim)
-    books_n = num_books * book_size * dim
-    expected = 24 + 8 * words_n + 4 * books_n + 2 * count * num_books
-    if len(blob) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} bytes, got {len(blob)}")
-    offset = 24
-    words = np.frombuffer(blob, dtype="<u8", count=words_n, offset=offset)
-    words = words.reshape(count, words_per_code(dim))
-    offset += 8 * words_n
-    books = np.frombuffer(blob, dtype="<f4", count=books_n, offset=offset)
+    header, (words, books, indices) = read_file(path, INDEX_MAGIC, 5, _index_layout, INDEX_VERSION)
+    _, count, dim, num_books, book_size = header
     books = books.reshape(num_books, book_size, dim).transpose(0, 2, 1)
-    offset += 4 * books_n
-    indices = np.frombuffer(blob, dtype="<u2", count=count * num_books, offset=offset)
-    indices = indices.reshape(count, num_books)
     return RetrievalIndex(
-        codes=PackedCodes(dim=dim, words=words.astype(np.uint64)),
+        codes=PackedCodes(dim=dim, words=words.reshape(count, words_per_code(dim)).astype(np.uint64)),
         quantizer=QuantizerModel(codebooks=np.ascontiguousarray(books, dtype=np.float64)),
-        indicators=IndicatorSet(book_size=book_size, indices=indices.astype(np.int32)),
+        indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books).astype(np.int32)),
     )

@@ -12,13 +12,13 @@ refresh at epoch boundaries.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-from .errors import BadMagic, DimMismatch, IoFailure, TruncatedFile, VersionMismatch
+from .binfile import read_file, write_file
+from .errors import DimMismatch
 from .features import PairBatch, feature_values
 from .quantizer import (
     IndicatorSet,
@@ -397,65 +397,29 @@ def train(
     )
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
-    return arr.astype("<f8", copy=False).tobytes()
-
-
 def save_model(path, encoder_a: EncoderParams, encoder_b: EncoderParams, quantizer: QuantizerModel) -> None:
     """Persist both encoders and the quantizer codebooks (HQM1 layout)."""
     if encoder_a.depth != encoder_b.depth or encoder_a.input_dim != encoder_b.input_dim:
         raise DimMismatch("encoders disagree on depth or dimension")
-    dim, depth = encoder_a.input_dim, encoder_a.depth
-    parts = [
-        MODEL_MAGIC,
-        struct.pack("<IIIII", MODEL_VERSION, dim, depth, quantizer.num_books, quantizer.book_size),
-    ]
-    for encoder in (encoder_a, encoder_b):
-        for weight, bias in encoder.layers:
-            parts.append(_pack_array(weight))
-            parts.append(_pack_array(bias))
-    parts.append(_pack_array(quantizer.codebooks))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    header = (MODEL_VERSION, encoder_a.input_dim, encoder_a.depth, quantizer.num_books, quantizer.book_size)
+    arrays = [arr for encoder in (encoder_a, encoder_b) for layer in encoder.layers for arr in layer]
+    arrays.append(quantizer.codebooks)
+    write_file(path, MODEL_MAGIC, header, [arr.astype("<f8", copy=False) for arr in arrays])
+
+
+def _model_layout(version, dim, depth, num_books, book_size):
+    # each of the 2 * depth layers is a dim x dim weight followed by a dim bias
+    return [("<f8", 2 * depth * (dim * dim + dim)), ("<f8", num_books * dim * book_size)]
 
 
 def load_model(path) -> tuple[EncoderParams, EncoderParams, QuantizerModel]:
     """Read an HQM1 model file back; inverse of save_model."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 4:
-        raise TruncatedFile(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != MODEL_MAGIC:
-        raise BadMagic(f"{path}: expected {MODEL_MAGIC!r}, found {blob[:4]!r}")
-    if len(blob) < 24:
-        raise TruncatedFile(f"{path}: header cut short at {len(blob)} bytes")
-    version, dim, depth, num_books, book_size = struct.unpack("<IIIII", blob[4:24])
-    if version != MODEL_VERSION:
-        raise VersionMismatch(f"{path}: version {version}, expected {MODEL_VERSION}")
-    offset = 24
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        nbytes = 8 * count
-        if len(blob) < offset + nbytes:
-            raise TruncatedFile(f"{path}: payload cut short at {len(blob)} bytes")
-        out = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += nbytes
-        return out.astype(np.float64)
-
-    encoders = []
-    for modality in ("a", "b"):
-        layers = []
-        for _ in range(depth):
-            weight = take(dim * dim).reshape(dim, dim)
-            bias = take(dim)
-            layers.append((weight, bias))
-        encoders.append(EncoderParams(modality=modality, layers=tuple(layers)))
-    books = take(num_books * dim * book_size).reshape(num_books, dim, book_size)
-    return encoders[0], encoders[1], QuantizerModel(codebooks=books)
+    header, (params, books) = read_file(path, MODEL_MAGIC, 5, _model_layout, MODEL_VERSION)
+    _, dim, depth, num_books, book_size = header
+    layers = [
+        (layer[: dim * dim].reshape(dim, dim), layer[dim * dim :])
+        for layer in params.reshape(2 * depth, dim * dim + dim)
+    ]
+    encoder_a = EncoderParams(modality="a", layers=tuple(layers[:depth]))
+    encoder_b = EncoderParams(modality="b", layers=tuple(layers[depth:]))
+    return encoder_a, encoder_b, QuantizerModel(codebooks=books.reshape(num_books, dim, book_size))

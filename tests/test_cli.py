@@ -244,6 +244,33 @@ def test_bench_alpha_endpoints_and_cost_columns(workspace, tmp_path):
         assert int(row["hq_memory_bits"]) == memory_footprint(cost, "hq")
 
 
+def test_bench_alpha_cost_columns_follow_the_model(workspace, tmp_path):
+    # no --set: the config defaults (m=4, k=256) must not leak into the cost columns
+    out_csv = tmp_path / "alpha.csv"
+    code, _, err = run_cli(
+        "bench", "--sweep", "alpha",
+        "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--model", workspace["model"],
+        "--alphas", "0,1.0", "--r", "10", "--repeats", "1", "--out", str(out_csv),
+    )
+    assert code == 0, err
+    from hashquant import CostModel, load_model, memory_footprint, op_count
+
+    _, _, quantizer = load_model(workspace["model"])
+    assert (quantizer.num_books, quantizer.book_size) == (2, 8)
+    rows = list(
+        csv.DictReader(line for line in out_csv.read_text().splitlines() if not line.startswith("#"))
+    )
+    assert len(rows) == 2
+    for row in rows:
+        cost = CostModel(
+            count=100, dim=16, num_books=quantizer.num_books, book_size=quantizer.book_size,
+            candidates=int(row["candidates"]),
+        )
+        assert int(row["hq_ops"]) == op_count(cost, "hq")
+        assert int(row["hq_memory_bits"]) == memory_footprint(cost, "hq")
+
+
 def test_bench_n_sweep_writes_table(tmp_path):
     out_csv = tmp_path / "n.csv"
     code, _, err = run_cli(

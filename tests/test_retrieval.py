@@ -203,6 +203,24 @@ class TestBaselineQueries:
             lossless_query(np.ones(3), database, top_k=1)
 
 
+QUERY_MODES = {
+    "two_stage": lambda row, index, features, top_k: two_stage_query(row, index, candidates=10, top_k=top_k),
+    "full_aqd": lambda row, index, features, top_k: full_aqd_query(row, index, top_k=top_k),
+    "hash_only": lambda row, index, features, top_k: hash_only_query(row, index, top_k=top_k),
+    "lossless": lambda row, index, features, top_k: lossless_query(row, features, top_k=top_k),
+}
+
+
+@pytest.mark.parametrize("mode", list(QUERY_MODES))
+def test_top_k_zero_is_empty_and_negative_rejected(mode, rng):
+    features, index = make_index(rng, count=30)
+    query = QUERY_MODES[mode]
+    empty = query(features[0], index, features, 0)
+    assert len(empty) == 0 and empty.scores.shape == (0,)
+    with pytest.raises(ValueError):
+        query(features[0], index, features, -3)
+
+
 class TestCrossModalSymmetry:
     def test_index_from_either_modality_answers_the_other(self):
         features_a, features_b, labels = synth_dataset(4, 15, 12, 0.2, seed=8)

@@ -3,7 +3,8 @@
 Codes live in {-1, +1}^n but are stored packed: bit d of an item's code is
 1 exactly when component d is +1, with sign(x) = +1 for x >= 0.  Bit d sits
 in word d // 64 at position d % 64, and padding bits above n are zero, so
-distances reduce to XOR plus population count over whole words.
+distances reduce to XOR plus population count over whole words.  Distances
+are uint16, which bounds the code dimension at MAX_CODE_DIM.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DimMismatch, TooManyCandidates
 from .features import feature_values
 
 WORD_BITS = 64
+MAX_CODE_DIM = np.iinfo(np.uint16).max
 
 
 def words_per_code(dim: int) -> int:
@@ -24,17 +26,17 @@ def words_per_code(dim: int) -> int:
 
 @dataclass(frozen=True)
 class PackedCodes:
-    """N packed sign codes of dim bits each, one uint64 row per item."""
+    """N packed sign codes of dim bits each, (N, W) uint64 words stored word-major."""
 
     dim: int
     words: np.ndarray
 
     def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        words = np.asfortranarray(self.words, dtype=np.uint64)
         if words.ndim != 2:
             raise ValueError(f"packed words must be 2-D, got shape {words.shape}")
-        if self.dim < 1:
-            raise ValueError(f"code dimension must be positive, got {self.dim}")
+        if not 1 <= self.dim <= MAX_CODE_DIM:
+            raise ValueError(f"code dimension must be in [1, {MAX_CODE_DIM}], got {self.dim}")
         if words.shape[1] != words_per_code(self.dim):
             raise ValueError(
                 f"dim {self.dim} needs {words_per_code(self.dim)} words per code, "
@@ -68,7 +70,7 @@ def sign_encode(features) -> PackedCodes:
 
 def unpack_signs(codes: PackedCodes) -> np.ndarray:
     """Expand packed codes back to a float {-1, +1} matrix of shape (N, dim)."""
-    as_bytes = codes.words.astype("<u8", copy=False).view(np.uint8)
+    as_bytes = np.ascontiguousarray(codes.words, dtype="<u8").view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : codes.dim]
     return bits.astype(np.float64) * 2.0 - 1.0
 
@@ -82,10 +84,10 @@ def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: 
 
 
 def hamming_distances(query: PackedCodes, database: PackedCodes) -> np.ndarray:
-    """Hamming distance from a single query code to every database code.
+    """Hamming distance (uint16) from a single query code to every database code.
 
-    One pass per word column keeps each pass contiguous and cheap; this is
-    the full-scan first stage, so it must stay close to memory bandwidth.
+    Words are word-major, so each per-column pass reads contiguous memory;
+    this is the full-scan first stage, so it must stay close to memory bandwidth.
     """
     if query.dim != database.dim:
         raise DimMismatch(f"code dims differ: {query.dim} vs {database.dim}")
@@ -93,35 +95,30 @@ def hamming_distances(query: PackedCodes, database: PackedCodes) -> np.ndarray:
         raise ValueError(f"expected exactly one query code, got {query.count}")
     words = database.words
     q = query.words[0]
-    dists = np.bitwise_count(words[:, 0] ^ q[0]).astype(np.uint64)
+    dists = np.bitwise_count(words[:, 0] ^ q[0]).astype(np.uint16)
     for col in range(1, words.shape[1]):
         dists += np.bitwise_count(words[:, col] ^ q[col])
     return dists
 
 
-def _smallest_by_key(keys: np.ndarray, count: int) -> np.ndarray:
-    """Positions of the `count` smallest keys, in ascending key order."""
-    if count >= keys.shape[0]:
-        return np.argsort(keys)
-    picked = np.argpartition(keys, count - 1)[:count]
-    return picked[np.argsort(keys[picked])]
+def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
+    """Positions of the `count` smallest distances, ordered by (distance, index)."""
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    cut = np.partition(dists, count - 1)[count - 1]
+    # the pool is in index order, so a stable sort by distance breaks ties by index
+    pool = np.flatnonzero(dists <= cut)
+    return pool[np.argsort(dists[pool], kind="stable")[:count]]
 
 
 def hamming_top_candidates(query: PackedCodes, database: PackedCodes, candidates: int) -> np.ndarray:
     """Indices of the `candidates` codes closest to the query.
 
     Selection is exact: ties in distance break by ascending item index, and
-    the output is ordered by (distance, index).  Uses partial selection on a
-    composite (distance, index) key rather than a full sort.
+    the output is ordered by (distance, index).
     """
     if candidates > database.count:
         raise TooManyCandidates(f"asked for {candidates} of {database.count} items")
     if candidates < 0:
         raise ValueError("candidate count must be non-negative")
-    if candidates == 0:
-        return np.empty(0, dtype=np.int64)
-    dists = hamming_distances(query, database)
-    # distance < 2**32 and count < 2**32, so (distance, index) packs into one u64
-    keys = (dists << np.uint64(32)) | np.arange(database.count, dtype=np.uint64)
-    picked = _smallest_by_key(keys, candidates)
-    return picked.astype(np.int64)
+    return nearest_first(hamming_distances(query, database), candidates)

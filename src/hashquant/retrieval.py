@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import read_file, write_file
-from .errors import CountMismatch, DimMismatch, TooManyCandidates, ZeroNormVector
+from .errors import CountMismatch, DimMismatch, NonFiniteValue, TooManyCandidates, ZeroNormVector
 from .features import feature_values
 from .hashing import (
     PackedCodes,
-    _smallest_by_key,
     hamming_distances,
     hamming_top_candidates,
+    nearest_first,
     sign_encode,
     words_per_code,
 )
@@ -116,6 +116,8 @@ def _query_row(query_feature, dim: int) -> np.ndarray:
     row = np.asarray(query_feature, dtype=np.float64).reshape(-1)
     if row.shape[0] != dim:
         raise DimMismatch(f"query has dim {row.shape[0]}, index has dim {dim}")
+    if not np.isfinite(row).all():
+        raise NonFiniteValue("query contains non-finite values")
     return row
 
 
@@ -186,8 +188,7 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
     _check_top_k(top_k, index.count)
     query_codes = sign_encode(row.reshape(1, -1))
     dists = hamming_distances(query_codes, index.codes)
-    keys = (dists << np.uint64(32)) | np.arange(index.count, dtype=np.uint64)
-    chosen = _smallest_by_key(keys, top_k).astype(np.int64)
+    chosen = nearest_first(dists, top_k)
     return RankedResult(indices=chosen, scores=-dists[chosen].astype(np.float64))
 
 
@@ -240,8 +241,9 @@ def load_index(path) -> RetrievalIndex:
     header, (words, books, indices) = read_file(path, INDEX_MAGIC, 5, _index_layout, INDEX_VERSION)
     _, count, dim, num_books, book_size = header
     books = books.reshape(num_books, book_size, dim).transpose(0, 2, 1)
+    words = np.array(words.reshape(count, words_per_code(dim)), dtype=np.uint64, order="F")
     return RetrievalIndex(
-        codes=PackedCodes(dim=dim, words=words.reshape(count, words_per_code(dim)).astype(np.uint64)),
+        codes=PackedCodes(dim=dim, words=words),
         quantizer=QuantizerModel(codebooks=np.ascontiguousarray(books, dtype=np.float64)),
         indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books).astype(np.int32)),
     )

@@ -6,13 +6,19 @@ from hypothesis.extra import numpy as hnp
 
 from hashquant import (
     DimMismatch,
+    IndicatorSet,
+    PackedCodes,
+    QuantizerModel,
+    RetrievalIndex,
     TooManyCandidates,
     hamming_distance,
     hamming_distances,
     hamming_top_candidates,
+    hash_only_query,
     sign_encode,
     unpack_signs,
 )
+from hashquant.hashing import MAX_CODE_DIM
 
 
 def encode_rows(rows):
@@ -143,3 +149,50 @@ def test_top_candidates_too_many():
 def test_hamming_distances_dim_mismatch():
     with pytest.raises(DimMismatch):
         hamming_distances(encode_rows(np.ones(8)), encode_rows(np.ones((2, 9))))
+
+
+@given(
+    dim=st.sampled_from([1, 2, 3, 63, 64, 65, 129]),
+    count=st.integers(min_value=1, max_value=40),
+    pool=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_exact_select_matches_lexsort_for_every_budget(dim, count, pool, seed):
+    # rows drawn from a small pool of sign patterns tie at every dim
+    rng = np.random.default_rng(seed)
+    patterns = rng.choice([-1.0, 1.0], size=(pool, dim))
+    rows = patterns[rng.integers(0, pool, size=count)]
+    query = rng.choice([-1.0, 1.0], size=dim)
+    database = sign_encode(rows)
+    index = RetrievalIndex(
+        codes=database,
+        quantizer=QuantizerModel(codebooks=np.zeros((1, dim, 1))),
+        indicators=IndicatorSet(book_size=1, indices=np.zeros((count, 1), dtype=np.int32)),
+    )
+    dists = (rows != query).sum(axis=1)
+    oracle = np.lexsort((np.arange(count), dists))
+    for candidates in range(count + 1):
+        expected = oracle[:candidates].tolist()
+        assert hamming_top_candidates(encode_rows(query), database, candidates).tolist() == expected
+        ranked = hash_only_query(query, index, top_k=candidates)
+        assert ranked.indices.tolist() == expected
+        assert ranked.scores.tolist() == (-dists[oracle[:candidates]]).tolist()
+
+
+def test_words_are_word_major_read_only_and_layout_blind(rng):
+    rows = rng.standard_normal((12, 150))
+    codes = sign_encode(rows)
+    assert codes.words.shape == (12, 3)
+    assert codes.words.flags.f_contiguous and not codes.words.flags.writeable
+    from_c = PackedCodes(dim=150, words=np.ascontiguousarray(codes.words))
+    from_f = PackedCodes(dim=150, words=np.asfortranarray(codes.words))
+    assert np.array_equal(from_c.words, from_f.words) and from_c.words.flags.f_contiguous
+    assert hamming_distances(encode_rows(rows[0]), codes).dtype == np.uint16
+
+
+def test_code_dimension_limit():
+    widest = np.full(MAX_CODE_DIM, -1.0)
+    assert MAX_CODE_DIM == 65535
+    assert hamming_distances(encode_rows(widest), encode_rows(-widest)).tolist() == [MAX_CODE_DIM]
+    with pytest.raises(ValueError, match="65535"):
+        PackedCodes(dim=MAX_CODE_DIM + 1, words=np.zeros((0, 1024), dtype=np.uint64))

@@ -6,6 +6,7 @@ from hashquant import (
     CountMismatch,
     DimMismatch,
     IndicatorSet,
+    NonFiniteValue,
     QuantizerModel,
     TooManyCandidates,
     TruncatedFile,
@@ -219,6 +220,17 @@ def test_top_k_zero_is_empty_and_negative_rejected(mode, rng):
     assert len(empty) == 0 and empty.scores.shape == (0,)
     with pytest.raises(ValueError):
         query(features[0], index, features, -3)
+
+
+@pytest.mark.parametrize("mode", list(QUERY_MODES))
+def test_non_finite_query_rejected(mode, rng):
+    features, index = make_index(rng, count=30)
+    query = QUERY_MODES[mode]
+    for bad in (np.nan, np.inf, -np.inf):
+        row = features[0].copy()
+        row[3] = bad
+        with pytest.raises(NonFiniteValue):
+            query(row, index, features, 5)
 
 
 class TestCrossModalSymmetry:

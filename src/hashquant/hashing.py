@@ -102,7 +102,7 @@ def hamming_distances(query: PackedCodes, database: PackedCodes) -> np.ndarray:
 
 
 def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
-    """Positions of the `count` smallest distances, ordered by (distance, index)."""
+    """Positions of the `count` smallest keys (distances, or negated scores), by (key, index)."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
     cut = np.partition(dists, count - 1)[count - 1]

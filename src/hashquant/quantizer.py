@@ -56,17 +56,21 @@ class QuantizerModel:
 
 @dataclass(frozen=True)
 class IndicatorSet:
-    """One chosen column index per (item, book); the packed one-hot selectors."""
+    """One column index per (item, book), held uint16 and column-major (book-contiguous)."""
 
     book_size: int
     indices: np.ndarray
 
     def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int32)
-        if indices.ndim != 2:
-            raise ValueError(f"indices must have shape (count, m), got {indices.shape}")
-        if indices.size and (indices.min() < 0 or indices.max() >= self.book_size):
+        if not 1 <= self.book_size <= MAX_BOOK_SIZE:
+            raise ValueError(f"book size must be in [1, {MAX_BOOK_SIZE}], got {self.book_size}")
+        given = np.asarray(self.indices)
+        if given.ndim != 2:
+            raise ValueError(f"indices must have shape (count, m), got {given.shape}")
+        # range-check before the narrowing cast, which would wrap -1 or 65536
+        if given.size and (given.min() < 0 or given.max() >= self.book_size):
             raise ValueError(f"indices must lie in [0, {self.book_size})")
+        indices = np.asfortranarray(given, dtype=np.uint16)
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)
 
@@ -107,12 +111,12 @@ def _as_float_matrix(features) -> np.ndarray:
     return np.asarray(feature_values(features), dtype=np.float64)
 
 
-def _nearest_columns(targets: np.ndarray, book: np.ndarray) -> np.ndarray:
+def _nearest_columns(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Index of the squared-distance-nearest column of `book` per target row."""
     # ||t - c||^2 = ||t||^2 - 2 t.c + ||c||^2; the ||t||^2 term is rank-free
     scores = targets @ book
     scores *= -2.0
-    scores += (book * book).sum(axis=0)
+    scores += norms
     return scores.argmin(axis=1)
 
 
@@ -141,7 +145,7 @@ def init_codebooks(features, num_books: int, book_size: int, seed: int) -> Quant
     for book in range(num_books):
         sampled = rng.choice(n_items, size=book_size, replace=False)
         books[book] = residual[sampled].T
-        chosen = _nearest_columns(residual, books[book])
+        chosen = _nearest_columns(residual, books[book], (books[book] * books[book]).sum(axis=0))
         residual -= books[book][:, chosen].T
     return QuantizerModel(codebooks=books)
 
@@ -166,6 +170,9 @@ def assign_indicators(
     if dim != model.dim:
         raise DimMismatch(f"features have dim {dim}, model has dim {model.dim}")
     num_books = model.num_books
+    # book-major rows turn each gather into row copies (per call; reconstruct runs per minibatch)
+    rows = model.codebooks.transpose(0, 2, 1).copy()
+    norms = [(book * book).sum(axis=0) for book in model.codebooks]
     if prev is not None:
         if prev.count != n_items or prev.num_books != num_books:
             raise DimMismatch(
@@ -173,28 +180,29 @@ def assign_indicators(
                 f"expected {n_items}x{num_books}"
             )
         indices = prev.indices.astype(np.int64)
-        approx = reconstruct(model, indices)
+        approx = rows[0][indices[:, 0]]
+        for book in range(1, num_books):
+            approx += rows[book][indices[:, book]]
         rounds_left = max_rounds
     else:
         indices = np.zeros((n_items, num_books), dtype=np.int64)
         residual = values.copy()
         for book in range(num_books):
-            chosen = _nearest_columns(residual, model.codebooks[book])
+            chosen = _nearest_columns(residual, model.codebooks[book], norms[book])
             indices[:, book] = chosen
-            residual -= model.codebooks[book][:, chosen].T
+            residual -= rows[book][chosen]
         approx = values - residual
         rounds_left = max_rounds - 1
 
     for _ in range(max(0, rounds_left)):
         changed = False
         for book in range(num_books):
-            columns = model.codebooks[book]
-            current = columns[:, indices[:, book]].T
+            current = rows[book][indices[:, book]]
             target = values - approx + current
-            chosen = _nearest_columns(target, columns)
+            chosen = _nearest_columns(target, model.codebooks[book], norms[book])
             if (chosen != indices[:, book]).any():
                 changed = True
-                approx += columns[:, chosen].T - current
+                approx += rows[book][chosen] - current
                 indices[:, book] = chosen
         if not changed:
             break
@@ -369,13 +377,15 @@ def aqd(table: LookupTable, item_indices) -> float:
 
 
 def aqd_scores(table: LookupTable, indicators: IndicatorSet, items: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized aqd over many items: m table gathers and an add per item."""
-    indices = indicators.indices if items is None else indicators.indices[items]
+    """Vectorized aqd over many items: one table take per book, added in aqd's book order."""
     if indicators.num_books != table.num_books or indicators.book_size != table.book_size:
         raise DimMismatch("indicator shape does not match lookup table")
-    scores = table.values[0, indices[:, 0]].astype(np.float64, copy=True)
+    columns = indicators.indices.T  # (m, N), each book's column contiguous
+    if items is not None:
+        columns = columns[:, items]
+    scores = table.values[0].take(columns[0])
     for book in range(1, table.num_books):
-        scores += table.values[book, indices[:, book]]
+        scores += table.values[book].take(columns[book])
     return scores
 
 

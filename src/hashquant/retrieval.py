@@ -129,25 +129,6 @@ def _check_top_k(top_k: int, available: int) -> None:
         raise TooManyCandidates(f"top_k {top_k} exceeds the {available} items available")
 
 
-def _rank_candidates(scores: np.ndarray, candidates: np.ndarray, top_k: int) -> RankedResult:
-    order = np.lexsort((candidates, -scores))[:top_k]
-    return RankedResult(indices=candidates[order], scores=scores[order])
-
-
-def _top_by_score(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Exact (score desc, index asc) top selection with partial sort."""
-    n = scores.shape[0]
-    if top_k >= n:
-        return np.lexsort((np.arange(n), -scores))[:top_k]
-    if top_k == 0:
-        return np.empty(0, dtype=np.int64)
-    picked = np.argpartition(-scores, top_k - 1)[:top_k]
-    # widen to every item tied with the boundary score so index ties stay exact
-    pool = np.flatnonzero(scores >= scores[picked].min())
-    order = np.lexsort((pool, -scores[pool]))[:top_k]
-    return pool[order]
-
-
 def two_stage_query(
     query_feature,
     index: RetrievalIndex,
@@ -166,10 +147,12 @@ def two_stage_query(
         raise TooManyCandidates(f"asked for {candidates} of {index.count} items")
     _check_top_k(top_k, candidates)
     query_codes = sign_encode(row.reshape(1, -1))
-    shortlist = hamming_top_candidates(query_codes, index.codes, candidates)
+    # in index order, the stable select below breaks score ties by index
+    shortlist = np.sort(hamming_top_candidates(query_codes, index.codes, candidates))
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators, items=shortlist)
-    return _rank_candidates(scores, shortlist, top_k)
+    chosen = nearest_first(-scores, top_k)
+    return RankedResult(indices=shortlist[chosen], scores=scores[chosen])
 
 
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
@@ -178,7 +161,7 @@ def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ran
     _check_top_k(top_k, index.count)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
-    chosen = _top_by_score(scores, top_k)
+    chosen = nearest_first(-scores, top_k)
     return RankedResult(indices=chosen, scores=scores[chosen])
 
 
@@ -204,7 +187,7 @@ def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedR
     if (norms == 0).any():
         raise ZeroNormVector(f"database row {int(np.flatnonzero(norms == 0)[0])} has zero norm")
     scores = (database @ row) / (norms * query_norm)
-    chosen = _top_by_score(scores, top_k)
+    chosen = nearest_first(-scores, top_k)
     return RankedResult(indices=chosen, scores=scores[chosen])
 
 
@@ -245,5 +228,5 @@ def load_index(path) -> RetrievalIndex:
     return RetrievalIndex(
         codes=PackedCodes(dim=dim, words=words),
         quantizer=QuantizerModel(codebooks=np.ascontiguousarray(books, dtype=np.float64)),
-        indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books).astype(np.int32)),
+        indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books)),
     )

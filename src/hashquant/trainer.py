@@ -18,7 +18,7 @@ import numpy as np
 import scipy.special
 
 from .binfile import read_file, write_file
-from .errors import DimMismatch
+from .errors import DimMismatch, NonFiniteValue
 from .features import PairBatch, feature_values
 from .quantizer import (
     IndicatorSet,
@@ -356,7 +356,7 @@ def train(
 
     losses = [full_loss()]
     n_pairs = len(pairs)
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_pairs)
         for start in range(0, n_pairs, config.batch_size):
             chosen = order[start : start + config.batch_size]
@@ -370,8 +370,11 @@ def train(
                 quantizer, indicators_a, indicators_b,
             )
             scale = config.learning_rate / len(minibatch)
-            encoder_a = _apply_step(encoder_a, grads_a, scale)
-            encoder_b = _apply_step(encoder_b, grads_b, scale)
+            try:
+                encoder_a = _apply_step(encoder_a, grads_a, scale)
+                encoder_b = _apply_step(encoder_b, grads_b, scale)
+            except ValueError as exc:  # shapes are fixed, so only a non-finite step gets here
+                raise NonFiniteValue(f"training diverged in epoch {epoch} of {config.epochs}: {exc}") from exc
 
         encoded_a = encoder_forward(encoder_a, values_a)
         encoded_b = encoder_forward(encoder_b, values_b)

@@ -2,6 +2,7 @@ import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from hashquant.cli import main
@@ -107,6 +108,18 @@ def test_train_unknown_config_key(workspace, tmp_path):
     )
     assert code == 1
     assert err.startswith("error: ConfigError:")
+
+
+def test_train_divergence_names_the_error_and_the_epoch(workspace, tmp_path):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, err = run_cli(
+            "train", "--features-a", workspace["a"], "--features-b", workspace["b"],
+            "--labels", workspace["labels"], "--out-model", str(tmp_path / "x.hqm"),
+            "--set", "epochs=3", "--set", "m=2", "--set", "k=8", "--set", "learning_rate=1e308",
+        )
+    assert code == 1
+    assert err.startswith("error: NonFiniteValue: training diverged in epoch 1 of 3")
+    assert not (tmp_path / "x.hqm").exists()
 
 
 def test_build_rejects_dim_mismatch(workspace, tmp_path):

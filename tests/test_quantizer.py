@@ -13,15 +13,19 @@ from hashquant import (
     aqd,
     aqd_scores,
     assign_indicators,
+    build_index,
     build_lookup_table,
     init_codebooks,
     learn_quantizer,
+    load_index,
     quantization_objective,
     quantization_residual_norm,
     reconstruct,
+    save_index,
     synth_dataset,
     update_codebooks,
 )
+from hashquant.quantizer import MAX_BOOK_SIZE
 
 
 def exhaustive_best(features, model):
@@ -291,3 +295,46 @@ class TestResidualNorm:
         model = QuantizerModel(codebooks=rng.standard_normal((1, 4, 2)))
         with pytest.raises(DimMismatch):
             quantization_residual_norm(np.ones(5), model, [0])
+
+
+class TestIndicatorStorage:
+    def test_out_of_range_raises_instead_of_wrapping(self):
+        for book_size in (8, MAX_BOOK_SIZE):
+            with pytest.raises(ValueError):
+                IndicatorSet(book_size=book_size, indices=np.array([[0], [-1]]))
+            with pytest.raises(ValueError):
+                IndicatorSet(book_size=book_size, indices=np.array([[0], [book_size]]))
+        with pytest.raises(ValueError):
+            IndicatorSet(book_size=MAX_BOOK_SIZE + 1, indices=np.zeros((1, 1), dtype=np.int64))
+
+    def test_uint16_column_major_and_read_only(self, rng):
+        given = rng.integers(0, MAX_BOOK_SIZE, size=(7, 3))
+        given[2, 1] = MAX_BOOK_SIZE - 1
+        indicators = IndicatorSet(book_size=MAX_BOOK_SIZE, indices=given)
+        assert indicators.indices.dtype == np.uint16
+        assert indicators.indices.flags.f_contiguous and not indicators.indices.flags.writeable
+        assert indicators.indices.tolist() == given.tolist()
+        assert indicators.indices[2, 1] == MAX_BOOK_SIZE - 1
+
+    def test_aqd_scores_equal_scalar_aqd_for_all_rows_and_a_shuffled_subset(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((4, 5, 7)))
+        indicators = IndicatorSet(book_size=7, indices=rng.integers(0, 7, size=(40, 4)))
+        table = build_lookup_table(rng.standard_normal(5), model)
+        every = aqd_scores(table, indicators)
+        assert every.tolist() == [aqd(table, row) for row in indicators.indices]
+        items = rng.permutation(40)[:15]
+        subset = aqd_scores(table, indicators, items=items)
+        assert subset.tolist() == [aqd(table, indicators.indices[item]) for item in items]
+
+    def test_index_file_round_trip_keeps_the_largest_index(self, tmp_path, rng):
+        features = rng.standard_normal((5, 3))
+        model = QuantizerModel(codebooks=rng.standard_normal((2, 3, MAX_BOOK_SIZE)))
+        given = np.array([[0, MAX_BOOK_SIZE - 1], [MAX_BOOK_SIZE - 1, 0], [1, 2], [3, 4], [65000, 5]])
+        index = build_index(features, model, IndicatorSet(book_size=MAX_BOOK_SIZE, indices=given))
+        first, second = tmp_path / "first.hqx", tmp_path / "second.hqx"
+        save_index(index, first)
+        loaded = load_index(first)
+        assert loaded.indicators.indices.tolist() == given.tolist()
+        assert loaded.indicators.indices.dtype == np.uint16
+        save_index(loaded, second)
+        assert first.read_bytes() == second.read_bytes()

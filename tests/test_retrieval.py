@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hashquant import (
     BadMagic,
@@ -231,6 +233,48 @@ def test_non_finite_query_rejected(mode, rng):
         row[3] = bad
         with pytest.raises(NonFiniteValue):
             query(row, index, features, 5)
+
+
+@given(
+    count=st.integers(min_value=1, max_value=24),
+    pool=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_score_ranked_modes_match_lexsort_for_every_top_k(count, pool, seed):
+    # rows, codebook columns and the query hold small integers, so every score
+    # is exact; rows and columns come from <= 4 patterns, so cut-offs tie
+    rng = np.random.default_rng(seed)
+    dim = 5
+    patterns = rng.integers(-2, 3, size=(pool, dim)).astype(np.float64)
+    patterns[:, 0] = rng.choice([-1.0, 1.0], size=pool)  # no zero-norm row
+    rows = patterns[rng.integers(0, pool, size=count)]
+    books = patterns.T[np.newaxis]  # one book whose k = pool columns are the patterns
+    indicators = IndicatorSet(book_size=pool, indices=rng.integers(0, pool, size=(count, 1)))
+    index = build_index(rows, QuantizerModel(codebooks=books), indicators)
+    query = rng.integers(-2, 3, size=dim).astype(np.float64)
+    query[0] = 1.0
+    aqd = (query @ books[0])[indicators.indices[:, 0]]
+    cosine = (rows @ query) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(query))
+    shortlist = hamming_top_candidates(sign_encode(query.reshape(1, -1)), index.codes, count // 2)
+    everything = np.arange(count)
+
+    runs = [
+        (lambda k: full_aqd_query(query, index, top_k=k), everything, aqd),
+        (lambda k: lossless_query(query, rows, top_k=k), everything, cosine),
+        (lambda k: two_stage_query(query, index, candidates=count, top_k=k), everything, aqd),
+        (lambda k: two_stage_query(query, index, candidates=count // 2, top_k=k), shortlist, aqd),
+    ]
+    for run, pool_items, scores in runs:
+        order = pool_items[np.lexsort((pool_items, -scores[pool_items]))]
+        for top_k in range(pool_items.size + 1):
+            ranked = run(top_k)
+            assert len(ranked) == min(top_k, pool_items.size)
+            assert ranked.indices.tolist() == order[:top_k].tolist()
+            assert ranked.scores.tolist() == scores[order[:top_k]].tolist()
+        with pytest.raises(TooManyCandidates):
+            run(pool_items.size + 1)
+        with pytest.raises(ValueError):
+            run(-1)
 
 
 class TestCrossModalSymmetry:

@@ -10,6 +10,7 @@ from hashquant import (
     BadMagic,
     EncoderParams,
     LossWeights,
+    NonFiniteValue,
     PairBatch,
     TrainConfig,
     TruncatedFile,
@@ -279,6 +280,14 @@ class TestTrain:
                 assert b1.tobytes() == b2.tobytes()
         assert one.quantizer.codebooks.tobytes() == two.quantizer.codebooks.tobytes()
         assert one.losses == two.losses
+
+    def test_diverged_step_raises_non_finite_naming_the_epoch(self):
+        features_a, features_b, pairs = self.make_inputs(seed=3)
+        # the first step overflows every weight it touches to infinity
+        config = TrainConfig(epochs=2, learning_rate=1e308, num_books=1, book_size=4, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValue, match="epoch 1 of 2"):
+                train(features_a, features_b, pairs, config, LossWeights())
 
 
 class TestConfigTypes:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .config import load_run_config
-from .errors import HashQuantError
+from .errors import ConfigError, HashQuantError
 from .evaluate import (
     CostModel,
     RetrievalTask,
@@ -43,7 +43,7 @@ def _parse_overrides(items) -> dict:
     overrides = {}
     for item in items or []:
         if "=" not in item:
-            raise HashQuantError(f"--set expects key=value, got {item!r}")
+            raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     return overrides
@@ -98,17 +98,28 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _encode_and_index(model, features, modality, assign_rounds=3):
+def _encode(model, features, modality):
+    """Run the model's encoder for `modality` over every feature row."""
+    encoder_a, encoder_b, _ = model
+    return encoder_forward(encoder_a if modality == "a" else encoder_b, features.values)
+
+
+def _encode_and_index(model, features, modality):
     """encoder_forward -> assign_indicators -> build_index for one modality."""
-    encoder_a, encoder_b, quantizer = model
-    encoded = encoder_forward(encoder_a if modality == "a" else encoder_b, features.values)
-    indicators = assign_indicators(encoded, quantizer, None, max_rounds=assign_rounds)
+    encoded = _encode(model, features, modality)
+    _, _, quantizer = model
+    indicators = assign_indicators(encoded, quantizer)
     return encoded, build_index(encoded, quantizer, indicators, modality=modality)
+
+
+def _model_echo(index) -> list[str]:
+    """Report preamble lines describing the model that produced `index`."""
+    return [f"m={index.quantizer.num_books}", f"k={index.quantizer.book_size}", f"dim={index.dim}"]
 
 
 def cmd_build(args) -> int:
     features = load_features(args.features)
-    _, index = _encode_and_index(load_model(args.model), features, args.modality, args.assign_rounds)
+    _, index = _encode_and_index(load_model(args.model), features, args.modality)
     save_index(index, args.out)
     print(f"wrote index of {index.count} items to {args.out}")
     return 0
@@ -118,9 +129,7 @@ def _load_encoded(path, model_path, modality):
     features = load_features(path)
     if model_path is None:
         return features.values.astype(np.float64)
-    encoder_a, encoder_b, _ = load_model(model_path)
-    encoder = encoder_a if modality == "a" else encoder_b
-    return encoder_forward(encoder, features.values)
+    return _encode(load_model(model_path), features, modality)
 
 
 def cmd_query(args) -> int:
@@ -168,9 +177,8 @@ def _eval_tasks(args):
 
 
 def cmd_eval(args) -> int:
-    config = load_run_config(args.config, _parse_overrides(args.set))
     task_i2t, task_t2i, encoded_a, encoded_b = _eval_tasks(args)
-    echo = config.echo_lines() + [
+    echo = _model_echo(task_i2t.index) + [
         f"mode={args.mode}",
         f"candidates={args.candidates}",
         f"cutoff={args.r}",
@@ -183,7 +191,7 @@ def cmd_eval(args) -> int:
         candidates=args.candidates,
         database_i2t=encoded_b,
         database_t2i=encoded_a,
-        config={line.split("=", 1)[0]: line.split("=", 1)[1] for line in echo},
+        config=dict(line.split("=", 1) for line in echo),
     )
     rows = [
         (direction, query_id, ap)
@@ -200,19 +208,10 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.sweep == "alpha":
-        missing = [
-            flag
-            for flag, value in (
-                ("--features-a", args.features_a),
-                ("--features-b", args.features_b),
-                ("--labels", args.labels),
-                ("--model", args.model),
-            )
-            if value is None
-        ]
+        needed = ("features_a", "features_b", "labels", "model")
+        missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
         if missing:
             raise HashQuantError(f"--sweep alpha needs {', '.join(missing)}")
-        config = load_run_config(args.config, _parse_overrides(args.set))
         task_i2t, task_t2i, _, _ = _eval_tasks(args)
         alphas = [float(a) for a in args.alphas.split(",")]
         points = sweep_alpha(task_i2t, task_t2i, alphas, cutoff=args.r, repeats=args.repeats)
@@ -241,7 +240,7 @@ def cmd_bench(args) -> int:
             args.out,
             ("alpha", "candidates", "map_i2t", "map_t2i", "mean_query_seconds", "hq_ops", "hq_memory_bits"),
             rows,
-            preamble=config.echo_lines(),
+            preamble=_model_echo(index),
         )
         return 0
 
@@ -317,7 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--modality", choices=("a", "b"), required=True)
-    p.add_argument("--assign-rounds", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -339,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-b", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--mode", choices=("two_stage", "full_aqd", "hash_only", "lossless"), default="two_stage")
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--r", type=int, default=50)
@@ -353,8 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-b")
     p.add_argument("--labels")
     p.add_argument("--model")
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--alphas", default="0,0.02,0.1,0.3,1.0")
     p.add_argument("--r", type=int, default=50)
     p.add_argument("--dims", default="64,128,256,512")

@@ -1,7 +1,8 @@
-"""Run configuration: key=value files, CLI overrides, and the echo record.
+"""Run configuration for `train`: key=value files, CLI overrides, and the echo record.
 
-Every run's report embeds the full effective configuration, so the parser
-is strict: unknown keys are rejected rather than ignored.
+`train` echoes every key before it trains, so the parser is strict: unknown
+keys are rejected rather than ignored, and a value the trainer would reject
+fails here, before anything is echoed.
 """
 
 from __future__ import annotations
@@ -14,18 +15,27 @@ from .trainer import LossWeights, TrainConfig
 
 @dataclass(frozen=True)
 class RunConfig:
-    epochs: int = 50
-    batch_size: int = 128
-    learning_rate: float = 2e-4
-    seed: int = 0
-    depth: int = 1
-    lambda_sim: float = 50.0
-    lambda_h: float = 0.01
-    lambda_b: float = 0.01
-    lambda_q: float = 0.0001
-    m: int = 4
-    k: int = 256
-    alternations: int = 1
+    """The `train` vocabulary; defaults and checks are TrainConfig's and LossWeights'."""
+
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    seed: int = TrainConfig.seed
+    depth: int = TrainConfig.depth
+    lambda_sim: float = LossWeights.lambda_sim
+    lambda_h: float = LossWeights.lambda_h
+    lambda_b: float = LossWeights.lambda_b
+    lambda_q: float = LossWeights.lambda_q
+    m: int = TrainConfig.num_books
+    k: int = TrainConfig.book_size
+    alternations: int = TrainConfig.alternations
+
+    def __post_init__(self):
+        try:
+            self.train_config()
+            self.loss_weights()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -93,7 +103,7 @@ def parse_config_file(path) -> dict:
 
 
 def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then config file values, then overrides (flags win)."""
+    """Defaults, then config file values, then overrides (flags win); bad input is ConfigError."""
     merged = {}
     if path is not None:
         merged.update(parse_config_file(path))
@@ -101,7 +111,4 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, str(raw))
-    try:
-        return RunConfig(**merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**merged)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBudget, KNotPowerOfTwo
+from .errors import IndexOutOfRange, InfeasibleBudget, KNotPowerOfTwo
 from .hashing import sign_encode
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
@@ -48,6 +48,8 @@ def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
     indices = indices[:cutoff]
     relevant = np.asarray(relevant)
     if relevant.dtype == bool:
+        if indices.size and (indices.min() < 0 or indices.max() >= relevant.shape[0]):
+            raise IndexOutOfRange(f"ranking indices must lie in [0, {relevant.shape[0]})")
         n_relevant = int(relevant.sum())
         hits = relevant[indices]
     else:
@@ -77,19 +79,20 @@ def map_at(
     mask over the database).  `candidates` only applies to two_stage and is
     clamped to the database size.
     """
-    rankings = ranked_results(
-        query_features,
-        mode=mode,
-        index=index,
-        database_features=database_features,
-        top_k=cutoff,
-        candidates=candidates,
+    aps = _per_query_ap(
+        query_features, relevant_sets, cutoff,
+        mode=mode, index=index, database_features=database_features, candidates=candidates,
     )
-    scores = [
+    return float(np.mean(aps))
+
+
+def _per_query_ap(query_features, relevant_sets, cutoff: int, **query_args) -> tuple[float, ...]:
+    """AP@cutoff of each query row's ranked_results ranking against its relevant set."""
+    rankings = ranked_results(query_features, top_k=cutoff, **query_args)
+    return tuple(
         average_precision_at(ranking, relevant, cutoff)
         for ranking, relevant in zip(rankings, relevant_sets)
-    ]
-    return float(np.mean(scores))
+    )
 
 
 def ranked_results(
@@ -163,22 +166,13 @@ def evaluate_tasks(
     config: dict | None = None,
 ) -> EvalReport:
     """Per-query AP in both directions, rolled up into one report."""
-    per_query = []
-    for task, database in ((task_i2t, database_i2t), (task_t2i, database_t2i)):
-        rankings = ranked_results(
-            task.queries,
-            mode=mode,
-            index=task.index,
-            database_features=database,
-            top_k=cutoff,
-            candidates=candidates,
+    per_query = [
+        _per_query_ap(
+            task.queries, task.relevant_sets, cutoff,
+            mode=mode, index=task.index, database_features=database, candidates=candidates,
         )
-        per_query.append(
-            tuple(
-                average_precision_at(ranking, relevant, cutoff)
-                for ranking, relevant in zip(rankings, task.relevant_sets)
-            )
-        )
+        for task, database in ((task_i2t, database_i2t), (task_t2i, database_t2i))
+    ]
     return EvalReport(
         map_i2t=float(np.mean(per_query[0])),
         map_t2i=float(np.mean(per_query[1])),
@@ -266,14 +260,22 @@ class AlphaSweepPoint:
     mean_query_seconds: float
 
 
-def _median_seconds(run, repeats: int) -> float:
-    run()  # warm-up: first touch dominates otherwise
-    times = []
-    for _ in range(max(5, repeats)):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
+def _median_seconds(runs, repeats: int) -> list[float]:
+    """Median wall time of each run over max(5, repeats) rounds.
+
+    Each round times every run once, and every other round reverses their
+    order, so a process-level speed swing lands on all of them alike.
+    """
+    for run in runs:
+        run()  # warm-up: first touch dominates otherwise
+    times = [[] for _ in runs]
+    for round_index in range(max(5, repeats)):
+        order = range(len(runs)) if round_index % 2 == 0 else reversed(range(len(runs)))
+        for which in order:
+            start = time.perf_counter()
+            runs[which]()
+            times[which].append(time.perf_counter() - start)
+    return [float(np.median(spans)) for spans in times]
 
 
 def sweep_alpha(
@@ -291,41 +293,27 @@ def sweep_alpha(
     the full query set, divided by the query count.
     """
     points = []
+    tasks = (task_i2t, task_t2i)
     n_items = task_i2t.index.count
     total_queries = len(task_i2t.queries) + len(task_t2i.queries)
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if alpha == 0.0:
-            budget = 0
-            mode, kwargs = "hash_only", {}
-        else:
-            budget = max(1, round(alpha * n_items))
-            mode, kwargs = "two_stage", {"candidates": budget}
-        maps = []
-        for task in (task_i2t, task_t2i):
-            maps.append(
-                map_at(
-                    task.queries,
-                    task.relevant_sets,
-                    mode=mode,
-                    index=task.index,
-                    cutoff=cutoff,
-                    **kwargs,
-                )
-            )
+        budget = max(1, round(alpha * n_items)) if alpha else 0
+        mode = "two_stage" if budget else "hash_only"
 
-        depth = min(cutoff, n_items if budget == 0 else budget)
+        maps = [
+            map_at(
+                task.queries, task.relevant_sets, mode=mode, index=task.index, cutoff=cutoff, candidates=budget
+            )
+            for task in tasks
+        ]
 
         def run_queries():
-            for task in (task_i2t, task_t2i):
-                for row in task.queries:
-                    if mode == "hash_only":
-                        hash_only_query(row, task.index, top_k=depth)
-                    else:
-                        two_stage_query(row, task.index, candidates=budget, top_k=depth)
+            for task in tasks:
+                ranked_results(task.queries, mode=mode, index=task.index, top_k=cutoff, candidates=budget)
 
-        seconds = _median_seconds(run_queries, repeats) / total_queries
+        seconds = _median_seconds([run_queries], repeats)[0] / total_queries
         points.append(
             AlphaSweepPoint(
                 alpha=float(alpha),
@@ -407,8 +395,8 @@ def sweep_n(
     popcount, table gathers, partial selection) does not depend on the code
     values, so codebooks are sampled feature rows and indicators are drawn
     uniformly instead of being learned, which keeps the sweep about the
-    query path.  Reported times are medians of `repeats` passes over the
-    query set, per query.
+    query path.  Reported times are per-query medians of max(5, repeats)
+    passes over the query set, the two sides' passes interleaved.
     """
     rng = np.random.default_rng(seed)
     points = []
@@ -420,26 +408,19 @@ def sweep_n(
         queries = rng.standard_normal((num_queries, dim))
         codes = sign_encode(database)
 
-        def sampled_model(num_books: int, book_size: int) -> QuantizerModel:
+        def sampled_index(num_books: int, book_size: int) -> RetrievalIndex:
             picks = rng.choice(count, size=(num_books, book_size))
-            return QuantizerModel(codebooks=database[picks].transpose(0, 2, 1).astype(np.float64))
+            return RetrievalIndex(
+                codes=codes,
+                quantizer=QuantizerModel(codebooks=database[picks].transpose(0, 2, 1).astype(np.float64)),
+                indicators=IndicatorSet(
+                    book_size=book_size,
+                    indices=rng.integers(0, book_size, size=(count, num_books), dtype=np.int32),
+                ),
+            )
 
-        hq_index = RetrievalIndex(
-            codes=codes,
-            quantizer=sampled_model(hq_books, hq_book_size),
-            indicators=IndicatorSet(
-                book_size=hq_book_size,
-                indices=rng.integers(0, hq_book_size, size=(count, hq_books), dtype=np.int32),
-            ),
-        )
-        quant_index = RetrievalIndex(
-            codes=codes,
-            quantizer=sampled_model(quant_books, quant_book_size),
-            indicators=IndicatorSet(
-                book_size=quant_book_size,
-                indices=rng.integers(0, quant_book_size, size=(count, quant_books), dtype=np.int32),
-            ),
-        )
+        hq_index = sampled_index(hq_books, hq_book_size)
+        quant_index = sampled_index(quant_books, quant_book_size)
 
         def run_hq():
             for row in queries:
@@ -449,8 +430,9 @@ def sweep_n(
             for row in queries:
                 full_aqd_query(row, quant_index, top_k=50)
 
-        hq_seconds = _median_seconds(run_hq, repeats) / num_queries
-        quant_seconds = _median_seconds(run_quant, repeats) / num_queries
+        hq_seconds, quant_seconds = (
+            seconds / num_queries for seconds in _median_seconds([run_hq, run_quant], repeats)
+        )
         hq_cost = CostModel(
             count=count, dim=dim, num_books=hq_books, book_size=hq_book_size, candidates=candidates
         )

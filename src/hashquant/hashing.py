@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, TooManyCandidates
+from .errors import DimMismatch, NonFiniteValue, TooManyCandidates
 from .features import feature_values
 
 WORD_BITS = 64
@@ -32,7 +32,7 @@ class PackedCodes:
     words: np.ndarray
 
     def __post_init__(self):
-        words = np.asfortranarray(self.words, dtype=np.uint64)
+        words = np.array(self.words, dtype=np.uint64, order="F")  # a private copy to freeze
         if words.ndim != 2:
             raise ValueError(f"packed words must be 2-D, got shape {words.shape}")
         if not 1 <= self.dim <= MAX_CODE_DIM:
@@ -57,6 +57,8 @@ class PackedCodes:
 def sign_encode(features) -> PackedCodes:
     """Pack the sign pattern of each feature row, with sign(0) = +1."""
     values = feature_values(features)
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("features contain non-finite values")
     n_items, dim = values.shape
     bits = (values >= 0).astype(np.uint8)
     packed = np.packbits(bits, axis=1, bitorder="little")

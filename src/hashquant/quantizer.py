@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch, IndexOutOfRange, NotEnoughItems, SingularSystem
+from .errors import DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
 from .features import feature_values
 
 MAX_BOOK_SIZE = 65536
@@ -67,10 +67,12 @@ class IndicatorSet:
         given = np.asarray(self.indices)
         if given.ndim != 2:
             raise ValueError(f"indices must have shape (count, m), got {given.shape}")
+        if not np.issubdtype(given.dtype, np.integer):
+            raise ValueError(f"indices must have an integer dtype, got {given.dtype}")
         # range-check before the narrowing cast, which would wrap -1 or 65536
         if given.size and (given.min() < 0 or given.max() >= self.book_size):
             raise ValueError(f"indices must lie in [0, {self.book_size})")
-        indices = np.asfortranarray(given, dtype=np.uint16)
+        indices = np.array(given, dtype=np.uint16, order="F")  # a private copy to freeze
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)
 
@@ -123,6 +125,8 @@ def _nearest_columns(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -
 def reconstruct(model: QuantizerModel, indices: np.ndarray) -> np.ndarray:
     """Sum of the selected columns for each row of `indices` (shape (N, m))."""
     indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
+    if indices.size and (indices.min() < 0 or indices.max() >= model.book_size):
+        raise IndexOutOfRange(f"indices must lie in [0, {model.book_size})")
     out = model.codebooks[0][:, indices[:, 0]].T.copy()
     for book in range(1, model.num_books):
         out += model.codebooks[book][:, indices[:, book]].T
@@ -169,6 +173,8 @@ def assign_indicators(
     n_items, dim = values.shape
     if dim != model.dim:
         raise DimMismatch(f"features have dim {dim}, model has dim {model.dim}")
+    if not np.isfinite(values).all():
+        raise NonFiniteValue("features contain non-finite values")
     num_books = model.num_books
     # book-major rows turn each gather into row copies (per call; reconstruct runs per minibatch)
     rows = model.codebooks.transpose(0, 2, 1).copy()

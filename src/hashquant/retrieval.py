@@ -143,6 +143,8 @@ def two_stage_query(
     quantizer similarity, again breaking ties by ascending index.
     """
     row = _query_row(query_feature, index.dim)
+    if candidates < 0:
+        raise ValueError(f"candidates must be non-negative, got {candidates}")
     if candidates > index.count:
         raise TooManyCandidates(f"asked for {candidates} of {index.count} items")
     _check_top_k(top_k, candidates)
@@ -224,9 +226,8 @@ def load_index(path) -> RetrievalIndex:
     header, (words, books, indices) = read_file(path, INDEX_MAGIC, 5, _index_layout, INDEX_VERSION)
     _, count, dim, num_books, book_size = header
     books = books.reshape(num_books, book_size, dim).transpose(0, 2, 1)
-    words = np.array(words.reshape(count, words_per_code(dim)), dtype=np.uint64, order="F")
     return RetrievalIndex(
-        codes=PackedCodes(dim=dim, words=words),
+        codes=PackedCodes(dim=dim, words=words.reshape(count, words_per_code(dim))),
         quantizer=QuantizerModel(codebooks=np.ascontiguousarray(books, dtype=np.float64)),
         indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books)),
     )

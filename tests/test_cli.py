@@ -8,6 +8,7 @@ import pytest
 from hashquant.cli import main
 from hashquant.config import RunConfig, load_run_config, parse_config_text
 from hashquant.errors import ConfigError
+from hashquant.trainer import LossWeights, TrainConfig
 
 
 def run_cli(*argv):
@@ -122,6 +123,18 @@ def test_train_divergence_names_the_error_and_the_epoch(workspace, tmp_path):
     assert not (tmp_path / "x.hqm").exists()
 
 
+@pytest.mark.parametrize("setting", ["epochs=-1", "lambda_h=-3", "epochs"])
+def test_train_rejects_bad_settings_before_echoing(workspace, tmp_path, setting):
+    code, out, err = run_cli(
+        "train", "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--out-model", str(tmp_path / "x.hqm"),
+        "--set", setting,
+    )
+    assert code == 1
+    assert err.startswith("error: ConfigError:")
+    assert out == ""
+
+
 def test_build_rejects_dim_mismatch(workspace, tmp_path):
     other = tmp_path / "wrong.dfm"
     code, _, _ = run_cli(
@@ -220,13 +233,13 @@ def test_eval_reports_all_directions(workspace, tmp_path):
     code, out, err = run_cli(
         "eval", "--features-a", workspace["a"], "--features-b", workspace["b"],
         "--labels", workspace["labels"], "--model", workspace["model"],
-        "--set", "m=2", "--set", "k=8",
         "--candidates", "50", "--out-csv", str(report),
     )
     assert code == 0, err
     assert "map_i2t=" in out and "map_t2i=" in out and "harmonic_mean=" in out
     text = report.read_text()
-    assert "# epochs=" in text and "# candidates=50" in text  # config echo
+    assert "# m=2\n" in text and "# k=8\n" in text and "# dim=16\n" in text  # model echo
+    assert "# candidates=50" in text
     rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
     assert len(rows) == 200
     values = [float(r["ap"]) for r in rows]
@@ -239,7 +252,6 @@ def test_bench_alpha_endpoints_and_cost_columns(workspace, tmp_path):
         "bench", "--sweep", "alpha",
         "--features-a", workspace["a"], "--features-b", workspace["b"],
         "--labels", workspace["labels"], "--model", workspace["model"],
-        "--set", "m=2", "--set", "k=8",
         "--alphas", "0,0.25,1.0", "--r", "10", "--out", str(out_csv),
     )
     assert code == 0, err
@@ -325,6 +337,16 @@ class TestConfigParsing:
         path.write_text("epochs = 7\nk = 16\n")
         config = load_run_config(path, {"epochs": "9"})
         assert config.epochs == 9 and config.k == 16
+
+    def test_defaults_are_the_trainer_defaults(self):
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().loss_weights() == LossWeights()
+
+    def test_rejected_value_is_config_error(self):
+        with pytest.raises(ConfigError, match="epochs"):
+            RunConfig(epochs=-1)
+        with pytest.raises(ConfigError, match="lambda_q"):
+            load_run_config(None, {"lambda_q": "-1e-4"})
 
     def test_echo_lists_every_field(self):
         config = RunConfig()

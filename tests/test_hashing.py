@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from hashquant import (
     DimMismatch,
     IndicatorSet,
+    NonFiniteValue,
     PackedCodes,
     QuantizerModel,
     RetrievalIndex,
@@ -188,6 +189,25 @@ def test_words_are_word_major_read_only_and_layout_blind(rng):
     from_f = PackedCodes(dim=150, words=np.asfortranarray(codes.words))
     assert np.array_equal(from_c.words, from_f.words) and from_c.words.flags.f_contiguous
     assert hamming_distances(encode_rows(rows[0]), codes).dtype == np.uint16
+
+
+def test_caller_words_are_neither_frozen_nor_shared():
+    for given in (
+        np.asfortranarray(np.arange(6, dtype=np.uint64).reshape(3, 2)),
+        np.arange(3, dtype=np.uint64)[:, None],
+    ):
+        codes = PackedCodes(dim=64 * given.shape[1], words=given)
+        assert given.flags.writeable and not codes.words.flags.writeable
+        given[0, 0] = 99
+        assert codes.words[0, 0] == 0
+
+
+def test_non_finite_features_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.ones((3, 70))
+        rows[1, 65] = bad
+        with pytest.raises(NonFiniteValue):
+            sign_encode(rows)
 
 
 def test_code_dimension_limit():

@@ -7,12 +7,14 @@ from hashquant import (
     DimMismatch,
     IndexOutOfRange,
     IndicatorSet,
+    NonFiniteValue,
     NotEnoughItems,
     QuantizerModel,
     SingularSystem,
     aqd,
     aqd_scores,
     assign_indicators,
+    average_precision_at,
     build_index,
     build_lookup_table,
     init_codebooks,
@@ -26,6 +28,23 @@ from hashquant import (
     update_codebooks,
 )
 from hashquant.quantizer import MAX_BOOK_SIZE
+from hashquant.trainer import quant_loss_term
+
+
+@pytest.mark.parametrize("bad", ["-1", "k"])
+def test_index_outside_the_book_or_mask_raises(bad, rng):
+    model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))
+    index = -1 if bad == "-1" else model.book_size
+    with pytest.raises(IndexOutOfRange):
+        reconstruct(model, np.array([[0, index]]))
+    with pytest.raises(IndexOutOfRange):
+        quantization_residual_norm(np.ones(3), model, [index, 0])
+    with pytest.raises(IndexOutOfRange):
+        quant_loss_term(np.ones(3), model, [0, index])
+    mask = np.array([True, False, True, False])
+    position = -1 if bad == "-1" else mask.shape[0]
+    with pytest.raises(IndexOutOfRange):
+        average_precision_at([0, position], mask, cutoff=2)
 
 
 def exhaustive_best(features, model):
@@ -306,6 +325,29 @@ class TestIndicatorStorage:
                 IndicatorSet(book_size=book_size, indices=np.array([[0], [book_size]]))
         with pytest.raises(ValueError):
             IndicatorSet(book_size=MAX_BOOK_SIZE + 1, indices=np.zeros((1, 1), dtype=np.int64))
+
+    def test_non_integer_indices_rejected(self):
+        for given in (np.array([[0.0], [1.5]]), np.array([[0.0], [np.nan]]), np.array([[True], [False]])):
+            with pytest.raises(ValueError, match="integer"):
+                IndicatorSet(book_size=4, indices=given)
+
+    def test_caller_array_is_neither_frozen_nor_shared(self):
+        for given in (
+            np.asfortranarray(np.array([[1, 2], [3, 0]], dtype=np.uint16)),
+            np.array([[1], [3]], dtype=np.uint16),
+        ):
+            indicators = IndicatorSet(book_size=4, indices=given)
+            assert given.flags.writeable and not indicators.indices.flags.writeable
+            given[0, 0] = 2
+            assert indicators.indices[0, 0] == 1
+
+    def test_non_finite_features_rejected(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))
+        for bad in (np.nan, np.inf):
+            features = rng.standard_normal((5, 3))
+            features[2, 1] = bad
+            with pytest.raises(NonFiniteValue):
+                assign_indicators(features, model)
 
     def test_uint16_column_major_and_read_only(self, rng):
         given = rng.integers(0, MAX_BOOK_SIZE, size=(7, 3))

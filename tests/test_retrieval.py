@@ -76,6 +76,12 @@ class TestBuildIndex:
         result = two_stage_query(feature[0], index, candidates=1, top_k=1)
         assert result.indices.tolist() == [0]
 
+    def test_non_finite_features_rejected(self, rng):
+        features, index = make_index(rng, count=10)
+        features[4, 2] = np.nan
+        with pytest.raises(NonFiniteValue):
+            build_index(features, index.quantizer, index.indicators)
+
     def test_count_and_dim_checks(self, rng):
         features = rng.standard_normal((5, 4))
         model = QuantizerModel(codebooks=rng.standard_normal((1, 4, 2)))
@@ -143,6 +149,12 @@ class TestTwoStage:
         for budget in (10, 30, 60):
             result = two_stage_query(query, index, candidates=budget, top_k=10)
             assert set(result.indices.tolist()) <= sets[budget]
+
+    def test_negative_candidates_named(self, rng):
+        features, index = make_index(rng, count=20)
+        for top_k in (0, 10):
+            with pytest.raises(ValueError, match="candidates"):
+                two_stage_query(features[0], index, candidates=-1, top_k=top_k)
 
     def test_budget_violations(self, rng):
         features, index = make_index(rng, count=20)

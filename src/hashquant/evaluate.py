@@ -412,7 +412,7 @@ def sweep_n(
             picks = rng.choice(count, size=(num_books, book_size))
             return RetrievalIndex(
                 codes=codes,
-                quantizer=QuantizerModel(codebooks=database[picks].transpose(0, 2, 1).astype(np.float64)),
+                quantizer=QuantizerModel(codebooks=database[picks].transpose(0, 2, 1)),
                 indicators=IndicatorSet(
                     book_size=book_size,
                     indices=rng.integers(0, book_size, size=(count, num_books), dtype=np.int32),

@@ -28,7 +28,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32)
+        values = np.array(self.values, dtype=np.float32, order="C")  # a private copy to freeze
         if values.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:

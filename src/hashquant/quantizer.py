@@ -28,7 +28,7 @@ class QuantizerModel:
     codebooks: np.ndarray
 
     def __post_init__(self):
-        books = np.ascontiguousarray(self.codebooks, dtype=np.float64)
+        books = np.array(self.codebooks, dtype=np.float64, order="C")  # a private copy to freeze
         if books.ndim != 3:
             raise ValueError(f"codebooks must have shape (m, dim, k), got {books.shape}")
         m, _, k = books.shape
@@ -113,13 +113,34 @@ def _as_float_matrix(features) -> np.ndarray:
     return np.asarray(feature_values(features), dtype=np.float64)
 
 
-def _nearest_columns(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Index of the squared-distance-nearest column of `book` per target row."""
+def _column_scores(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """||t - c||^2 - ||t||^2 for every target row t and column c of `book`."""
     # ||t - c||^2 = ||t||^2 - 2 t.c + ||c||^2; the ||t||^2 term is rank-free
     scores = targets @ book
     scores *= -2.0
     scores += norms
-    return scores.argmin(axis=1)
+    return scores
+
+
+def _nearest_columns(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Index of the squared-distance-nearest column of `book` per target row."""
+    return _column_scores(targets, book, norms).argmin(axis=1)
+
+
+def _sweep_rows(active: np.ndarray, n_items: int, dim: int, book_size: int) -> np.ndarray:
+    """The sorted `active` rows, padded with low rows up to the fewest an exact product needs.
+
+    A row of `targets[rows] @ book` rounds like the same row of the full
+    product only when BLAS runs the same kernel for both: numpy sends one row
+    to gemv, and OpenBLAS sends products of at most 100**3 multiply-adds to a
+    small-matrix kernel, which sums dot products longer than 384 in another
+    order.  2**20 multiply-adds clears that cut-off.  Rows outside `active`
+    are at a fixed point, so sweeping them again leaves them unchanged.
+    """
+    floor = min(n_items, max(2, -(-(1 << 20) // (dim * book_size))))
+    if active.size >= floor:
+        return active
+    return np.union1d(active, np.arange(floor))
 
 
 def reconstruct(model: QuantizerModel, indices: np.ndarray) -> np.ndarray:
@@ -167,7 +188,9 @@ def assign_indicators(
     per-item objective never increases relative to `prev`.  With one book a
     single sweep is the exhaustive minimizer.  Without `prev`, the first
     sweep assigns greedily (earlier books only), which counts toward
-    max_rounds; sweeping stops early once no index changes.
+    max_rounds; sweeping stops early once no index changes.  Rows are
+    independent, so after the first full sweep each sweep revisits only the
+    rows whose indices moved in the previous one, with the same result.
     """
     values = _as_float_matrix(features)
     n_items, dim = values.shape
@@ -200,17 +223,30 @@ def assign_indicators(
         approx = values - residual
         rounds_left = max_rounds - 1
 
+    active = None  # rows to revisit; None is every row
     for _ in range(max(0, rounds_left)):
-        changed = False
+        if active is None:
+            sweep = slice(None)  # views: updates land in place
+        else:
+            sweep = _sweep_rows(active, n_items, dim, model.book_size)
+        part_values, part_approx, part_indices = values[sweep], approx[sweep], indices[sweep]
+        moved = np.zeros(part_values.shape[0], dtype=bool)
         for book in range(num_books):
-            current = rows[book][indices[:, book]]
-            target = values - approx + current
+            current = rows[book][part_indices[:, book]]
+            target = part_values - part_approx + current
             chosen = _nearest_columns(target, model.codebooks[book], norms[book])
-            if (chosen != indices[:, book]).any():
-                changed = True
-                approx += rows[book][chosen] - current
-                indices[:, book] = chosen
-        if not changed:
+            changed = chosen != part_indices[:, book]
+            if changed.any():
+                moved |= changed
+                part_approx += rows[book][chosen] - current
+                part_indices[:, book] = chosen
+        if active is None:
+            active = np.flatnonzero(moved)
+        else:
+            approx[sweep] = part_approx
+            indices[sweep] = part_indices
+            active = sweep[moved]
+        if not active.size:
             break
     return IndicatorSet(book_size=model.book_size, indices=indices)
 
@@ -221,21 +257,22 @@ def _one_hot_stats(
     """Accumulate F B^T (dim x mk) and the Gram B B^T (mk x mk)."""
     dim = values.shape[1]
     mk = num_books * book_size
-    rhs = np.zeros((dim, mk))
+    rhs = np.empty((dim, mk))
     gram = np.zeros((mk, mk))
+    columns = indices.astype(np.int64).T  # (m, N)
+    coordinates, weights = np.arange(dim), values.ravel()
+    blocks = [slice(book * book_size, (book + 1) * book_size) for book in range(num_books)]
     for b1 in range(num_books):
-        block = np.zeros((book_size, dim))
-        np.add.at(block, indices[:, b1], values)
-        rhs[:, b1 * book_size : (b1 + 1) * book_size] = block.T
-        for b2 in range(num_books):
+        # cell (column, coordinate) sums its rows in row order, as np.add.at does
+        cells = (columns[b1][:, None] * dim + coordinates).ravel()
+        block = np.bincount(cells, weights=weights, minlength=book_size * dim)
+        rhs[:, blocks[b1]] = block.reshape(book_size, dim).T
+        for b2 in range(b1, num_books):
             joint = np.bincount(
-                indices[:, b1].astype(np.int64) * book_size + indices[:, b2],
-                minlength=book_size * book_size,
+                columns[b1] * book_size + columns[b2], minlength=book_size * book_size
             ).reshape(book_size, book_size)
-            gram[
-                b1 * book_size : (b1 + 1) * book_size,
-                b2 * book_size : (b2 + 1) * book_size,
-            ] += joint
+            gram[blocks[b1], blocks[b2]] = joint
+            gram[blocks[b2], blocks[b1]] = joint.T
     return rhs, gram
 
 
@@ -286,7 +323,7 @@ def update_codebooks(
     solution = scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
     dim = values_a.shape[1]
     books = solution.reshape(dim, num_books, book_size).transpose(1, 0, 2)
-    return QuantizerModel(codebooks=np.ascontiguousarray(books))
+    return QuantizerModel(codebooks=books)
 
 
 def quantization_objective(features, model: QuantizerModel, indicators: IndicatorSet) -> float:

@@ -116,6 +116,12 @@ def _query_row(query_feature, dim: int) -> np.ndarray:
     row = np.asarray(query_feature, dtype=np.float64).reshape(-1)
     if row.shape[0] != dim:
         raise DimMismatch(f"query has dim {row.shape[0]}, index has dim {dim}")
+    return row
+
+
+def _finite_query_row(query_feature, dim: int) -> np.ndarray:
+    """_query_row for the modes without a hash stage; sign_encode rejects NaN and inf in the others."""
+    row = _query_row(query_feature, dim)
     if not np.isfinite(row).all():
         raise NonFiniteValue("query contains non-finite values")
     return row
@@ -143,12 +149,12 @@ def two_stage_query(
     quantizer similarity, again breaking ties by ascending index.
     """
     row = _query_row(query_feature, index.dim)
+    query_codes = sign_encode(row.reshape(1, -1))
     if candidates < 0:
         raise ValueError(f"candidates must be non-negative, got {candidates}")
     if candidates > index.count:
         raise TooManyCandidates(f"asked for {candidates} of {index.count} items")
     _check_top_k(top_k, candidates)
-    query_codes = sign_encode(row.reshape(1, -1))
     # in index order, the stable select below breaks score ties by index
     shortlist = np.sort(hamming_top_candidates(query_codes, index.codes, candidates))
     table = build_lookup_table(row, index.quantizer)
@@ -159,7 +165,7 @@ def two_stage_query(
 
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Asymmetric quantizer similarity against every item (no hash filter)."""
-    row = _query_row(query_feature, index.dim)
+    row = _finite_query_row(query_feature, index.dim)
     _check_top_k(top_k, index.count)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
@@ -170,8 +176,8 @@ def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ran
 def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Rank by ascending Hamming distance only; score is minus the distance."""
     row = _query_row(query_feature, index.dim)
-    _check_top_k(top_k, index.count)
     query_codes = sign_encode(row.reshape(1, -1))
+    _check_top_k(top_k, index.count)
     dists = hamming_distances(query_codes, index.codes)
     chosen = nearest_first(dists, top_k)
     return RankedResult(indices=chosen, scores=-dists[chosen].astype(np.float64))
@@ -180,7 +186,7 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
 def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedResult:
     """Cosine similarity against uncompressed features; the accuracy ceiling."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)
-    row = _query_row(query_feature, database.shape[1])
+    row = _finite_query_row(query_feature, database.shape[1])
     _check_top_k(top_k, database.shape[0])
     query_norm = np.linalg.norm(row)
     if query_norm == 0:
@@ -228,6 +234,6 @@ def load_index(path) -> RetrievalIndex:
     books = books.reshape(num_books, book_size, dim).transpose(0, 2, 1)
     return RetrievalIndex(
         codes=PackedCodes(dim=dim, words=words.reshape(count, words_per_code(dim))),
-        quantizer=QuantizerModel(codebooks=np.ascontiguousarray(books, dtype=np.float64)),
+        quantizer=QuantizerModel(codebooks=books),
         indicators=IndicatorSet(book_size=book_size, indices=indices.reshape(count, num_books)),
     )

@@ -21,6 +21,7 @@ from .binfile import read_file, write_file
 from .errors import DimMismatch, NonFiniteValue
 from .features import PairBatch, feature_values
 from .quantizer import (
+    MAX_BOOK_SIZE,
     IndicatorSet,
     QuantizerModel,
     assign_indicators,
@@ -69,6 +70,14 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.depth not in (1, 2):
             raise ValueError("encoder depth must be 1 or 2")
+        if self.num_books < 1:
+            raise ValueError("num_books must be >= 1")
+        if not 1 <= self.book_size <= MAX_BOOK_SIZE:
+            raise ValueError(f"book_size must be in [1, {MAX_BOOK_SIZE}]")
+        if self.alternations < 0:
+            raise ValueError("alternations must be >= 0")
+        if self.assign_rounds < 1:
+            raise ValueError("assign_rounds must be >= 1")
 
 
 @dataclass(frozen=True)

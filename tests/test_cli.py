@@ -123,7 +123,9 @@ def test_train_divergence_names_the_error_and_the_epoch(workspace, tmp_path):
     assert not (tmp_path / "x.hqm").exists()
 
 
-@pytest.mark.parametrize("setting", ["epochs=-1", "lambda_h=-3", "epochs"])
+@pytest.mark.parametrize(
+    "setting", ["epochs=-1", "lambda_h=-3", "epochs", "m=0", "k=0", "m=-1", "k=65537", "alternations=-1"]
+)
 def test_train_rejects_bad_settings_before_echoing(workspace, tmp_path, setting):
     code, out, err = run_cli(
         "train", "--features-a", workspace["a"], "--features-b", workspace["b"],

@@ -83,6 +83,14 @@ def test_zero_row_matrix_rejected_before_write():
         FeatureMatrix(np.empty((0, 3), dtype=np.float32))
 
 
+def test_caller_array_is_neither_frozen_nor_shared():
+    given = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.float32)
+    matrix = FeatureMatrix(given)
+    assert given.flags.writeable and not matrix.values.flags.writeable
+    given[0, 0] = 9
+    assert matrix.values[0, 0] == 1
+
+
 def test_non_finite_matrix_rejected():
     with pytest.raises(ValueError):
         FeatureMatrix(np.array([[np.inf]], dtype=np.float32))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hashquant import (
     DimMismatch,
@@ -27,6 +29,7 @@ from hashquant import (
     synth_dataset,
     update_codebooks,
 )
+from hashquant import quantizer
 from hashquant.quantizer import MAX_BOOK_SIZE
 from hashquant.trainer import quant_loss_term
 
@@ -142,6 +145,111 @@ class TestAssignIndicators:
         model = QuantizerModel(codebooks=rng.standard_normal((1, 4, 2)))
         with pytest.raises(DimMismatch):
             assign_indicators(rng.standard_normal((3, 5)), model)
+
+
+def full_sweep_assign(values, model, prev, max_rounds):
+    """Reference coordinate descent that sweeps every row in every round."""
+    rows = model.codebooks.transpose(0, 2, 1).copy()
+    norms = [(book * book).sum(axis=0) for book in model.codebooks]
+    if prev is not None:
+        indices = prev.indices.astype(np.int64)
+        approx = rows[0][indices[:, 0]]
+        for book in range(1, model.num_books):
+            approx += rows[book][indices[:, book]]
+        rounds_left = max_rounds
+    else:
+        indices = np.zeros((values.shape[0], model.num_books), dtype=np.int64)
+        residual = values.copy()
+        for book in range(model.num_books):
+            chosen = quantizer._nearest_columns(residual, model.codebooks[book], norms[book])
+            indices[:, book] = chosen
+            residual -= rows[book][chosen]
+        approx = values - residual
+        rounds_left = max_rounds - 1
+    for _ in range(max(0, rounds_left)):
+        changed = False
+        for book in range(model.num_books):
+            current = rows[book][indices[:, book]]
+            target = values - approx + current
+            chosen = quantizer._nearest_columns(target, model.codebooks[book], norms[book])
+            if (chosen != indices[:, book]).any():
+                changed = True
+                approx += rows[book][chosen] - current
+                indices[:, book] = chosen
+        if not changed:
+            break
+    return indices
+
+
+@settings(max_examples=150)  # a sweep over fewer rows than all needs count above the row floor
+@given(
+    dim=st.sampled_from([512, 385, 32, 3]),
+    book_size=st.sampled_from([8, 256, 64, 2, 1]),
+    num_books=st.sampled_from([1, 2, 4]),
+    count=st.one_of(st.integers(min_value=1, max_value=40), st.integers(min_value=300, max_value=700)),
+    max_rounds=st.sampled_from([3, 2, 5, 1]),
+    warm=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_active_row_sweeps_equal_full_sweeps(dim, book_size, num_books, count, max_rounds, warm, seed):
+    rng = np.random.default_rng(seed)
+    books = rng.standard_normal((num_books, dim, book_size))
+    # a duplicated and a zero column give exact ties at the argmin
+    books[:, :, book_size // 2] = books[:, :, 0]
+    books[:, :, -1] = 0.0
+    model = QuantizerModel(codebooks=books)
+    truth = rng.integers(0, book_size, size=(count, num_books))
+    # exact rows tie, near rows settle in one sweep, far rows keep moving for several
+    noise = rng.standard_normal((count, dim)) * rng.choice([0.0, 0.3, 10.0], size=(count, 1))
+    values = reconstruct(model, truth) + noise
+    prev = None
+    if warm:
+        moved = rng.random(count) < 0.3
+        truth[moved] = rng.integers(0, book_size, size=(int(moved.sum()), num_books))
+        prev = IndicatorSet(book_size=book_size, indices=truth)
+    got = assign_indicators(values, model, prev, max_rounds=max_rounds)
+    assert np.array_equal(got.indices, full_sweep_assign(values, model, prev, max_rounds))
+
+
+@pytest.mark.parametrize("dim, book_size", [(512, 256), (385, 256), (512, 8), (32, 256)])
+def test_sweep_row_products_round_like_the_full_product(dim, book_size):
+    # one row goes to gemv and small products to another BLAS kernel, and
+    # either can round differently from the full product; only the row floor
+    # keeps a sweep over a few active rows bit-identical to a full sweep
+    rng = np.random.default_rng(dim * book_size)
+    count = 600
+    targets = rng.standard_normal((count, dim))
+    book = rng.standard_normal((dim, book_size))
+    norms = (book * book).sum(axis=0)
+    full = quantizer._column_scores(targets, book, norms)
+    floor = quantizer._sweep_rows(np.array([0]), count, dim, book_size).size
+    for active_count in range(1, floor + 2):
+        active = np.sort(rng.choice(count, size=active_count, replace=False))
+        rows = quantizer._sweep_rows(active, count, dim, book_size)
+        assert np.isin(active, rows).all()
+        assert quantizer._column_scores(targets[rows], book, norms).tobytes() == full[rows].tobytes()
+
+
+def test_one_hot_stats_match_the_add_at_reference(rng):
+    count, dim, num_books, book_size = 300, 5, 3, 16
+    # magnitudes over 16 decades, so a different summation order changes the bits
+    values = rng.standard_normal((count, dim)) * 10.0 ** rng.uniform(-8, 8, size=(count, dim))
+    indices = rng.integers(0, book_size - 2, size=(count, num_books))  # the last two columns get no rows
+    stored = IndicatorSet(book_size=book_size, indices=indices).indices
+    rhs, gram = quantizer._one_hot_stats(values, stored, num_books, book_size)
+
+    mk = num_books * book_size
+    want_rhs, want_gram = np.zeros((dim, mk)), np.zeros((mk, mk))
+    for b1 in range(num_books):
+        block = np.zeros((book_size, dim))
+        np.add.at(block, indices[:, b1], values)
+        want_rhs[:, b1 * book_size : (b1 + 1) * book_size] = block.T
+        for b2 in range(num_books):
+            want_gram[b1 * book_size : (b1 + 1) * book_size, b2 * book_size : (b2 + 1) * book_size] = np.bincount(
+                indices[:, b1] * book_size + indices[:, b2], minlength=book_size * book_size
+            ).reshape(book_size, book_size)
+    assert rhs.tobytes() == want_rhs.tobytes()
+    assert gram.tobytes() == want_gram.tobytes()
 
 
 class TestUpdateCodebooks:
@@ -340,6 +448,13 @@ class TestIndicatorStorage:
             assert given.flags.writeable and not indicators.indices.flags.writeable
             given[0, 0] = 2
             assert indicators.indices[0, 0] == 1
+
+    def test_model_keeps_a_private_copy_of_the_codebooks(self, rng):
+        given = rng.standard_normal((2, 3, 4))
+        model = QuantizerModel(codebooks=given)
+        assert given.flags.writeable and not model.codebooks.flags.writeable
+        given[0, 0, 0] = 7.0
+        assert model.codebooks[0, 0, 0] != 7.0
 
     def test_non_finite_features_rejected(self, rng):
         model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))

@@ -30,7 +30,7 @@ from hashquant import (
     total_loss,
     train,
 )
-from hashquant.quantizer import QuantizerModel
+from hashquant.quantizer import MAX_BOOK_SIZE, QuantizerModel
 
 
 def zero_encoder(dim, depth=1, modality="a"):
@@ -311,6 +311,16 @@ class TestConfigTypes:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(depth=3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_books", 0), ("book_size", 0), ("book_size", MAX_BOOK_SIZE + 1),
+         ("alternations", -1), ("assign_rounds", 0)],
+    )
+    def test_quantizer_fields_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        TrainConfig(**{field: value + (1 if value < 1 else -1)})
 
 
 class TestModelFile:

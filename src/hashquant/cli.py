@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import load_run_config
+from .config import echo_lines, load_run_config
 from .errors import ConfigError, HashQuantError
 from .evaluate import (
     CostModel,
@@ -83,14 +83,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_run_config(args.config, _parse_overrides(args.set))
+    config, weights = load_run_config(args.config, _parse_overrides(args.set))
     features_a = load_features(args.features_a)
     features_b = load_features(args.features_b)
     labels = load_labels(args.labels)
-    pairs = generate_pairs(labels, labels, config.seed, args.negative_fraction)
-    for line in config.echo_lines():
+    pairs = generate_pairs(labels, labels, config.seed)
+    for line in echo_lines(config, weights):
         print(f"# {line}")
-    result = train(features_a, features_b, pairs, config.train_config(), config.loss_weights())
+    result = train(features_a, features_b, pairs, config, weights)
     for epoch, loss in enumerate(result.losses):
         print(f"epoch={epoch} loss={loss:.6f}")
     save_model(args.out_model, result.encoder_a, result.encoder_b, result.quantizer)
@@ -191,7 +191,6 @@ def cmd_eval(args) -> int:
         candidates=args.candidates,
         database_i2t=encoded_b,
         database_t2i=encoded_a,
-        config=dict(line.split("=", 1) for line in echo),
     )
     rows = [
         (direction, query_id, ap)
@@ -240,7 +239,7 @@ def cmd_bench(args) -> int:
             args.out,
             ("alpha", "candidates", "map_i2t", "map_t2i", "mean_query_seconds", "hq_ops", "hq_memory_bits"),
             rows,
-            preamble=_model_echo(index),
+            preamble=_model_echo(index) + [f"cutoff={args.r}", f"repeats={args.repeats}"],
         )
         return 0
 
@@ -308,7 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--negative-fraction", type=float, default=0.9)
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -1,72 +1,40 @@
-"""Run configuration for `train`: key=value files, CLI overrides, and the echo record.
+"""The `train` key table: key=value files, CLI overrides, and the echo record.
 
-`train` echoes every key before it trains, so the parser is strict: unknown
-keys are rejected rather than ignored, and a value the trainer would reject
-fails here, before anything is echoed.
+Each key names one field of `TrainConfig` or `LossWeights`, the two types
+`train()` takes, so the echo describes the objects that ran.  `train` echoes
+every key before it trains, so the parser is strict: unknown keys are
+rejected rather than ignored, and a value the trainer would reject fails
+here, before anything is echoed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .errors import ConfigError, IoFailure
 from .trainer import LossWeights, TrainConfig
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The `train` vocabulary; defaults and checks are TrainConfig's and LossWeights'."""
-
-    epochs: int = TrainConfig.epochs
-    batch_size: int = TrainConfig.batch_size
-    learning_rate: float = TrainConfig.learning_rate
-    seed: int = TrainConfig.seed
-    depth: int = TrainConfig.depth
-    lambda_sim: float = LossWeights.lambda_sim
-    lambda_h: float = LossWeights.lambda_h
-    lambda_b: float = LossWeights.lambda_b
-    lambda_q: float = LossWeights.lambda_q
-    m: int = TrainConfig.num_books
-    k: int = TrainConfig.book_size
-    alternations: int = TrainConfig.alternations
-
-    def __post_init__(self):
-        try:
-            self.train_config()
-            self.loss_weights()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            alternations=self.alternations,
-            seed=self.seed,
-            depth=self.depth,
-            num_books=self.m,
-            book_size=self.k,
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_sim=self.lambda_sim,
-            lambda_h=self.lambda_h,
-            lambda_b=self.lambda_b,
-            lambda_q=self.lambda_q,
-        )
-
-    def echo_lines(self) -> list[str]:
-        """One key=value line per field, stable order, for report embedding."""
-        return [f"{field.name}={getattr(self, field.name)}" for field in fields(self)]
-
-
-_FIELD_TYPES = {field.name: field.type for field in fields(RunConfig)}
+# (key, owner, field) in echo order; only m and k are renamed
+_KEYS = (
+    ("epochs", TrainConfig, "epochs"),
+    ("batch_size", TrainConfig, "batch_size"),
+    ("learning_rate", TrainConfig, "learning_rate"),
+    ("seed", TrainConfig, "seed"),
+    ("depth", TrainConfig, "depth"),
+    ("lambda_sim", LossWeights, "lambda_sim"),
+    ("lambda_h", LossWeights, "lambda_h"),
+    ("lambda_b", LossWeights, "lambda_b"),
+    ("lambda_q", LossWeights, "lambda_q"),
+    ("m", TrainConfig, "num_books"),
+    ("k", TrainConfig, "book_size"),
+    ("alternations", TrainConfig, "alternations"),
+)
+_OWNER_FIELD = {key: (owner, field) for key, owner, field in _KEYS}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    owner, name = _OWNER_FIELD[key]
+    kind = next(field.type for field in fields(owner) if field.name == name)
     try:
         if kind in ("int", int):
             return int(raw)
@@ -85,7 +53,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in _OWNER_FIELD:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in parsed:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
@@ -102,13 +70,26 @@ def parse_config_file(path) -> dict:
     return parse_config_text(text, source=str(path))
 
 
-def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
+def load_run_config(path=None, overrides: dict | None = None) -> tuple[TrainConfig, LossWeights]:
     """Defaults, then config file values, then overrides (flags win); bad input is ConfigError."""
     merged = {}
     if path is not None:
         merged.update(parse_config_file(path))
     for key, raw in (overrides or {}).items():
-        if key not in _FIELD_TYPES:
+        if key not in _OWNER_FIELD:
             raise ConfigError(f"unknown config key {key!r}")
         merged[key] = _coerce(key, str(raw))
-    return RunConfig(**merged)
+    settings = {TrainConfig: {}, LossWeights: {}}
+    for key, value in merged.items():
+        owner, name = _OWNER_FIELD[key]
+        settings[owner][name] = value
+    try:
+        return TrainConfig(**settings[TrainConfig]), LossWeights(**settings[LossWeights])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def echo_lines(config: TrainConfig, weights: LossWeights) -> list[str]:
+    """One key=value line per key, in table order, for report embedding."""
+    objects = {TrainConfig: config, LossWeights: weights}
+    return [f"{key}={getattr(objects[owner], name)}" for key, owner, name in _KEYS]

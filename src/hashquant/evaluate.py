@@ -147,7 +147,6 @@ class EvalReport:
     map_t2i: float
     per_query_i2t: tuple[float, ...]
     per_query_t2i: tuple[float, ...]
-    config: dict
     harmonic: float = 0.0
 
     def __post_init__(self):
@@ -163,7 +162,6 @@ def evaluate_tasks(
     candidates: int = 100,
     database_i2t: np.ndarray | None = None,
     database_t2i: np.ndarray | None = None,
-    config: dict | None = None,
 ) -> EvalReport:
     """Per-query AP in both directions, rolled up into one report."""
     per_query = [
@@ -178,7 +176,6 @@ def evaluate_tasks(
         map_t2i=float(np.mean(per_query[1])),
         per_query_i2t=per_query[0],
         per_query_t2i=per_query[1],
-        config=dict(config or {}),
     )
 
 

@@ -65,7 +65,7 @@ class LabelSet:
     masks: np.ndarray
 
     def __post_init__(self):
-        masks = np.ascontiguousarray(self.masks, dtype=np.uint64)
+        masks = np.array(self.masks, dtype=np.uint64)  # a private copy to freeze
         if masks.ndim != 1 or masks.shape[0] < 1:
             raise ValueError(f"masks must be a non-empty 1-D array, got shape {masks.shape}")
         if not 1 <= self.num_labels <= MAX_LABELS:
@@ -93,13 +93,22 @@ class PairBatch:
     similar: np.ndarray
 
     def __post_init__(self):
-        index_a = np.ascontiguousarray(self.index_a, dtype=np.int64)
-        index_b = np.ascontiguousarray(self.index_b, dtype=np.int64)
-        similar = np.ascontiguousarray(self.similar, dtype=np.int8)
+        # private copies, range-checked before the narrowing casts
+        index_a, index_b, similar = (np.array(arr) for arr in (self.index_a, self.index_b, self.similar))
         if not (index_a.shape == index_b.shape == similar.shape) or index_a.ndim != 1:
             raise ValueError("pair arrays must be 1-D and equal length")
-        if not np.isin(similar, (0, 1)).all():
-            raise ValueError("similarity labels must be 0 or 1")
+        if index_a.dtype.kind not in "iu" or index_b.dtype.kind not in "iu":
+            raise ValueError(f"pair indices must be integers, got {index_a.dtype} and {index_b.dtype}")
+        if similar.dtype.kind not in "biu":
+            raise ValueError(f"similarity labels must be integers or booleans, got {similar.dtype}")
+        # a uint64 index past the int64 range casts to a negative one, which the check catches
+        index_a, index_b = index_a.astype(np.int64, copy=False), index_b.astype(np.int64, copy=False)
+        if len(similar):
+            if min(index_a.min(), index_b.min()) < 0:
+                raise ValueError("pair indices must be non-negative")
+            if similar.min() < 0 or similar.max() > 1:
+                raise ValueError("similarity labels must be 0 or 1")
+        similar = similar.astype(np.int8, copy=False)
         for arr in (index_a, index_b, similar):
             arr.setflags(write=False)
         object.__setattr__(self, "index_a", index_a)

@@ -351,8 +351,6 @@ def learn_quantizer(
     book_size: int,
     alternations: int = 10,
     seed: int = 0,
-    assign_rounds: int = 3,
-    ridge: float = 1e-8,
 ) -> QuantizerFit:
     """Alternate closed-form codebook updates with indicator reassignment.
 
@@ -367,10 +365,8 @@ def learn_quantizer(
         raise DimMismatch("modalities disagree on feature dimension")
     stacked = values_a if values_b is None else np.vstack([values_a, values_b])
     model = init_codebooks(stacked, num_books, book_size, seed)
-    indicators_a = assign_indicators(values_a, model, None, max_rounds=assign_rounds)
-    indicators_b = (
-        None if values_b is None else assign_indicators(values_b, model, None, max_rounds=assign_rounds)
-    )
+    indicators_a = assign_indicators(values_a, model)
+    indicators_b = None if values_b is None else assign_indicators(values_b, model)
 
     def objective() -> float:
         total = quantization_objective(values_a, model, indicators_a)
@@ -380,12 +376,12 @@ def learn_quantizer(
 
     objectives = [objective()]
     for _ in range(alternations):
-        model = update_codebooks(values_a, indicators_a, values_b, indicators_b, ridge=ridge)
-        new_a = assign_indicators(values_a, model, indicators_a, max_rounds=assign_rounds)
+        model = update_codebooks(values_a, indicators_a, values_b, indicators_b)
+        new_a = assign_indicators(values_a, model, indicators_a)
         unchanged = (new_a.indices == indicators_a.indices).all()
         indicators_a = new_a
         if values_b is not None:
-            new_b = assign_indicators(values_b, model, indicators_b, max_rounds=assign_rounds)
+            new_b = assign_indicators(values_b, model, indicators_b)
             unchanged = unchanged and (new_b.indices == indicators_b.indices).all()
             indicators_b = new_b
         objectives.append(objective())

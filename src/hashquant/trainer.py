@@ -59,7 +59,6 @@ class TrainConfig:
     depth: int = 1
     num_books: int = 4
     book_size: int = 256
-    assign_rounds: int = 3
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -76,8 +75,6 @@ class TrainConfig:
             raise ValueError(f"book_size must be in [1, {MAX_BOOK_SIZE}]")
         if self.alternations < 0:
             raise ValueError("alternations must be >= 0")
-        if self.assign_rounds < 1:
-            raise ValueError("assign_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -353,7 +350,6 @@ def train(
         book_size=config.book_size,
         alternations=config.alternations,
         seed=int(seeds[3]),
-        assign_rounds=config.assign_rounds,
     )
     quantizer, indicators_a, indicators_b = fit.model, fit.indicators_a, fit.indicators_b
 
@@ -389,8 +385,8 @@ def train(
         encoded_b = encoder_forward(encoder_b, values_b)
         for _ in range(config.alternations):
             quantizer = update_codebooks(encoded_a, indicators_a, encoded_b, indicators_b)
-            new_a = assign_indicators(encoded_a, quantizer, indicators_a, config.assign_rounds)
-            new_b = assign_indicators(encoded_b, quantizer, indicators_b, config.assign_rounds)
+            new_a = assign_indicators(encoded_a, quantizer, indicators_a)
+            new_b = assign_indicators(encoded_b, quantizer, indicators_b)
             unchanged = (new_a.indices == indicators_a.indices).all() and (
                 new_b.indices == indicators_b.indices
             ).all()

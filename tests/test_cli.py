@@ -1,12 +1,13 @@
 import csv
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from hashquant.cli import main
-from hashquant.config import RunConfig, load_run_config, parse_config_text
+from hashquant.config import echo_lines, load_run_config, parse_config_text
 from hashquant.errors import ConfigError
 from hashquant.trainer import LossWeights, TrainConfig
 
@@ -298,6 +299,19 @@ def test_bench_alpha_cost_columns_follow_the_model(workspace, tmp_path):
         assert int(row["hq_memory_bits"]) == memory_footprint(cost, "hq")
 
 
+def test_bench_alpha_echoes_its_run_parameters(workspace, tmp_path):
+    out_csv = tmp_path / "alpha.csv"
+    code, _, err = run_cli(
+        "bench", "--sweep", "alpha",
+        "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--model", workspace["model"],
+        "--alphas", "0,1.0", "--r", "10", "--repeats", "1", "--out", str(out_csv),
+    )
+    assert code == 0, err
+    preamble = [line for line in out_csv.read_text().splitlines() if line.startswith("#")]
+    assert preamble == ["# m=2", "# k=8", "# dim=16", "# cutoff=10", "# repeats=1"]
+
+
 def test_bench_n_sweep_writes_table(tmp_path):
     out_csv = tmp_path / "n.csv"
     code, _, err = run_cli(
@@ -309,6 +323,12 @@ def test_bench_n_sweep_writes_table(tmp_path):
     assert [int(r["dim"]) for r in rows] == [16, 32]
     for row in rows:
         assert float(row["ratio"]) > 0
+
+
+TRAIN_KEYS = [
+    "epochs", "batch_size", "learning_rate", "seed", "depth",
+    "lambda_sim", "lambda_h", "lambda_b", "lambda_q", "m", "k", "alternations",
+]
 
 
 class TestConfigParsing:
@@ -337,22 +357,37 @@ class TestConfigParsing:
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("epochs = 7\nk = 16\n")
-        config = load_run_config(path, {"epochs": "9"})
-        assert config.epochs == 9 and config.k == 16
+        config, _ = load_run_config(path, {"epochs": "9"})
+        assert config.epochs == 9 and config.book_size == 16
 
     def test_defaults_are_the_trainer_defaults(self):
-        assert RunConfig().train_config() == TrainConfig()
-        assert RunConfig().loss_weights() == LossWeights()
+        assert load_run_config(None, {}) == (TrainConfig(), LossWeights())
 
     def test_rejected_value_is_config_error(self):
         with pytest.raises(ConfigError, match="epochs"):
-            RunConfig(epochs=-1)
+            load_run_config(None, {"epochs": "-1"})
         with pytest.raises(ConfigError, match="lambda_q"):
             load_run_config(None, {"lambda_q": "-1e-4"})
 
     def test_echo_lists_every_field(self):
-        config = RunConfig()
-        lines = config.echo_lines()
-        assert len(lines) == 12
+        lines = echo_lines(*load_run_config(None, {}))
+        assert [line.split("=")[0] for line in lines] == TRAIN_KEYS
         assert "lambda_sim=50.0" in lines
         assert "epochs=50" in lines
+
+    def test_key_table_covers_every_trainer_field_once(self):
+        defaults = (TrainConfig(), LossWeights())
+        covered = []
+        for key in TRAIN_KEYS:
+            # 2 differs from every default and is valid for every key
+            loaded = load_run_config(None, {key: "2"})
+            moved = [
+                (type(obj).__name__, field.name)
+                for obj, default in zip(loaded, defaults)
+                for field in fields(obj)
+                if getattr(obj, field.name) != getattr(default, field.name)
+            ]
+            assert len(moved) == 1, (key, moved)
+            covered += moved
+        every = [(type(obj).__name__, field.name) for obj in defaults for field in fields(obj)]
+        assert sorted(covered) == sorted(every)

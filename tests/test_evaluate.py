@@ -213,8 +213,7 @@ class TestEvaluateTasks:
 
     def test_harmonic_is_always_derived(self):
         report = EvalReport(
-            map_i2t=0.5, map_t2i=1.0, per_query_i2t=(0.5,), per_query_t2i=(1.0,),
-            config={}, harmonic=0.123,
+            map_i2t=0.5, map_t2i=1.0, per_query_i2t=(0.5,), per_query_t2i=(1.0,), harmonic=0.123,
         )
         assert report.harmonic == pytest.approx(2 / 3, abs=1e-12)
 

@@ -10,6 +10,7 @@ from hashquant import (
     IndexOutOfRange,
     LabelSet,
     NonFiniteValue,
+    PairBatch,
     TooManyClusters,
     TruncatedFile,
     generate_pairs,
@@ -120,6 +121,50 @@ def test_label_invariants():
         LabelSet(num_labels=3, masks=np.array([0], dtype=np.uint64))  # empty mask
     with pytest.raises(ValueError):
         LabelSet(num_labels=3, masks=np.array([0b1000], dtype=np.uint64))  # bit >= L
+
+
+def test_label_set_keeps_a_private_copy():
+    given = np.array([0b1, 0b10], dtype=np.uint64)
+    labels = LabelSet(num_labels=2, masks=given)
+    assert given.flags.writeable and not labels.masks.flags.writeable
+    given[0] = 0b10
+    assert labels.masks[0] == 0b1
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        dict(index_a=[0, -1], index_b=[0, 1], similar=[1, 0]),
+        dict(index_a=[0, 1], index_b=[-1, 1], similar=[1, 0]),
+        dict(index_a=np.array([2**64 - 1], dtype=np.uint64), index_b=[0], similar=[1]),
+        dict(index_a=[0.7, 1.9], index_b=[0, 1], similar=[1, 0]),
+        dict(index_a=[0, 1], index_b=np.array([0.0, 1.0]), similar=[1, 0]),
+        dict(index_a=[0, 1], index_b=[0, 1], similar=np.array([256, 1])),
+        dict(index_a=[0, 1], index_b=[0, 1], similar=[256, 1]),
+        dict(index_a=[0, 1], index_b=[0, 1], similar=[-1, 1]),
+        dict(index_a=[0, 1], index_b=[0, 1], similar=[0.5, 1.0]),
+    ],
+    ids=["negative-a", "negative-b", "uint64-wraps", "float-a", "float-b",
+         "similar-256-array", "similar-256-list", "similar-negative", "similar-float"],
+)
+def test_pair_batch_rejects_bad_pairs(pairs):
+    with pytest.raises(ValueError):
+        PairBatch(**pairs)
+
+
+def test_pair_batch_accepts_boolean_similarity():
+    batch = PairBatch(index_a=[0, 1], index_b=[1, 0], similar=np.array([True, False]))
+    assert batch.similar.dtype == np.int8 and batch.similar.tolist() == [1, 0]
+
+
+def test_pair_batch_keeps_private_copies():
+    given = [np.array([0, 1]), np.array([1, 0]), np.array([1, 0], dtype=np.int8)]
+    batch = PairBatch(*given)
+    for arr in given:
+        assert arr.flags.writeable
+        arr[0] = 0 if arr[0] else 1
+    assert (batch.index_a.tolist(), batch.index_b.tolist(), batch.similar.tolist()) == ([0, 1], [1, 0], [1, 0])
+    assert not any(arr.flags.writeable for arr in (batch.index_a, batch.index_b, batch.similar))
 
 
 def test_pair_labels_examples():

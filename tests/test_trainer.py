@@ -289,6 +289,14 @@ class TestTrain:
             with pytest.raises(NonFiniteValue, match="epoch 1 of 2"):
                 train(features_a, features_b, pairs, config, LossWeights())
 
+    def test_negative_pair_index_never_reaches_training(self):
+        features_a, features_b, pairs = self.make_inputs(seed=3)
+        config = TrainConfig(epochs=1, num_books=1, book_size=4, seed=3)
+        index_b = pairs.index_b.copy()
+        index_b[0] = -1  # would silently train on the last row
+        with pytest.raises(ValueError, match="non-negative"):
+            train(features_a, features_b, PairBatch(pairs.index_a, index_b, pairs.similar), config, LossWeights())
+
 
 class TestConfigTypes:
     def test_default_weights(self):
@@ -315,7 +323,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "field, value",
         [("num_books", 0), ("book_size", 0), ("book_size", MAX_BOOK_SIZE + 1),
-         ("alternations", -1), ("assign_rounds", 0)],
+         ("alternations", -1)],
     )
     def test_quantizer_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -44,8 +44,10 @@ def _parse_overrides(items) -> dict:
     for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
+        if key in overrides:
+            raise ConfigError(f"--set: duplicate key {key!r}")
+        overrides[key] = value
     return overrides
 
 

@@ -82,11 +82,12 @@ def load_run_config(path=None, overrides: dict | None = None) -> tuple[TrainConf
     settings = {TrainConfig: {}, LossWeights: {}}
     for key, value in merged.items():
         owner, name = _OWNER_FIELD[key]
+        try:
+            owner(**{name: value})  # every trainer check reads one field, so this names the key at fault
+        except ValueError as exc:
+            raise ConfigError(f"{key}={value}: {exc}") from exc
         settings[owner][name] = value
-    try:
-        return TrainConfig(**settings[TrainConfig]), LossWeights(**settings[LossWeights])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TrainConfig(**settings[TrainConfig]), LossWeights(**settings[LossWeights])
 
 
 def echo_lines(config: TrainConfig, weights: LossWeights) -> list[str]:

@@ -2,7 +2,8 @@
 
 Every operational failure raises a named subclass of HashQuantError so
 callers (and the CLI) can map failures to stable, machine-readable names.
-Type-invariant violations at construction time raise plain ValueError.
+Type-invariant violations at construction time raise plain ValueError;
+IndexOutOfRange, raised by the one check every index argument passes, is both.
 """
 
 
@@ -42,8 +43,8 @@ class DimMismatch(HashQuantError):
     """Two inputs that must share a feature dimension do not."""
 
 
-class IndexOutOfRange(HashQuantError):
-    """An item or dictionary index fell outside its valid range."""
+class IndexOutOfRange(HashQuantError, ValueError):
+    """An index was not an integer, was negative, or reached its upper bound."""
 
 
 class TooManyClusters(HashQuantError):

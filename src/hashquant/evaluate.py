@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InfeasibleBudget, KNotPowerOfTwo
+from .errors import InfeasibleBudget, KNotPowerOfTwo
+from .features import index_array
 from .hashing import sign_encode
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
@@ -44,16 +45,15 @@ def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    indices = ranking.indices if isinstance(ranking, RankedResult) else np.asarray(ranking, dtype=np.int64)
-    indices = indices[:cutoff]
-    relevant = np.asarray(relevant)
-    if relevant.dtype == bool:
-        if indices.size and (indices.min() < 0 or indices.max() >= relevant.shape[0]):
-            raise IndexOutOfRange(f"ranking indices must lie in [0, {relevant.shape[0]})")
+    ranked = ranking.indices if isinstance(ranking, RankedResult) else np.asarray(ranking)
+    relevant = np.asarray(list(relevant) if isinstance(relevant, (set, frozenset)) else relevant)
+    is_mask = relevant.dtype == bool
+    indices = index_array(ranked[:cutoff], relevant.shape[0] if is_mask else None)
+    if is_mask:
         n_relevant = int(relevant.sum())
         hits = relevant[indices]
     else:
-        relevant_set = np.unique(relevant.astype(np.int64))
+        relevant_set = np.unique(index_array(relevant))
         n_relevant = relevant_set.shape[0]
         hits = np.isin(indices, relevant_set)
     if n_relevant == 0:

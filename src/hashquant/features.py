@@ -28,14 +28,13 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float32, order="C")  # a private copy to freeze
+        values = frozen_copy(self.values, np.float32)
         if values.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"feature matrix must be at least 1x1, got {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("feature matrix contains non-finite values")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -57,6 +56,33 @@ def feature_values(features) -> np.ndarray:
     return arr
 
 
+def frozen_copy(array, dtype, order="C") -> np.ndarray:
+    """A private read-only copy of `array`; every value type stores only what this returns."""
+    copy = np.array(array, dtype=dtype, order=order)
+    copy.setflags(write=False)
+    return copy
+
+
+def index_array(values, upper: int | None = None) -> np.ndarray:
+    """`values` as int64 indices in [0, upper), or non-negative ones when `upper` is None.
+
+    A non-integer dtype (bool included) or an index out of range raises
+    IndexOutOfRange; an empty input of any dtype passes.  The cast comes
+    first, so a uint64 index past the int64 range reads as negative.
+    """
+    given = np.asarray(values)
+    if given.size == 0:
+        return given.astype(np.int64)
+    if given.dtype.kind not in "iu":
+        raise IndexOutOfRange(f"indices must be integers, got {given.dtype}")
+    indices = given.astype(np.int64, copy=False)
+    if indices.min() < 0:
+        raise IndexOutOfRange(f"indices must be non-negative, got {indices.min()}")
+    if upper is not None and indices.max() >= upper:
+        raise IndexOutOfRange(f"indices must lie in [0, {upper}), got {indices.max()}")
+    return indices
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Per-item 64-bit label masks over a vocabulary of num_labels bits."""
@@ -65,7 +91,7 @@ class LabelSet:
     masks: np.ndarray
 
     def __post_init__(self):
-        masks = np.array(self.masks, dtype=np.uint64)  # a private copy to freeze
+        masks = frozen_copy(self.masks, np.uint64)
         if masks.ndim != 1 or masks.shape[0] < 1:
             raise ValueError(f"masks must be a non-empty 1-D array, got shape {masks.shape}")
         if not 1 <= self.num_labels <= MAX_LABELS:
@@ -76,7 +102,6 @@ class LabelSet:
             high = masks >> np.uint64(self.num_labels)
             if high.any():
                 raise ValueError(f"mask bit set at or above position {self.num_labels}")
-        masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
 
     @property
@@ -93,24 +118,15 @@ class PairBatch:
     similar: np.ndarray
 
     def __post_init__(self):
-        # private copies, range-checked before the narrowing casts
-        index_a, index_b, similar = (np.array(arr) for arr in (self.index_a, self.index_b, self.similar))
+        index_a, index_b, similar = (np.asarray(arr) for arr in (self.index_a, self.index_b, self.similar))
         if not (index_a.shape == index_b.shape == similar.shape) or index_a.ndim != 1:
             raise ValueError("pair arrays must be 1-D and equal length")
-        if index_a.dtype.kind not in "iu" or index_b.dtype.kind not in "iu":
-            raise ValueError(f"pair indices must be integers, got {index_a.dtype} and {index_b.dtype}")
         if similar.dtype.kind not in "biu":
             raise ValueError(f"similarity labels must be integers or booleans, got {similar.dtype}")
-        # a uint64 index past the int64 range casts to a negative one, which the check catches
-        index_a, index_b = index_a.astype(np.int64, copy=False), index_b.astype(np.int64, copy=False)
-        if len(similar):
-            if min(index_a.min(), index_b.min()) < 0:
-                raise ValueError("pair indices must be non-negative")
-            if similar.min() < 0 or similar.max() > 1:
-                raise ValueError("similarity labels must be 0 or 1")
-        similar = similar.astype(np.int8, copy=False)
-        for arr in (index_a, index_b, similar):
-            arr.setflags(write=False)
+        index_a, index_b = (frozen_copy(index_array(arr), np.int64) for arr in (index_a, index_b))
+        if len(similar) and (similar.min() < 0 or similar.max() > 1):
+            raise ValueError("similarity labels must be 0 or 1")
+        similar = frozen_copy(similar, np.int8)
         object.__setattr__(self, "index_a", index_a)
         object.__setattr__(self, "index_b", index_b)
         object.__setattr__(self, "similar", similar)
@@ -152,10 +168,7 @@ def load_labels(path) -> LabelSet:
 
 def pair_labels(labels_a: LabelSet, labels_b: LabelSet, i: int, j: int) -> int:
     """1 when items i (modality A) and j (modality B) share any label, else 0."""
-    if not 0 <= i < labels_a.count:
-        raise IndexOutOfRange(f"index {i} outside [0, {labels_a.count})")
-    if not 0 <= j < labels_b.count:
-        raise IndexOutOfRange(f"index {j} outside [0, {labels_b.count})")
+    i, j = index_array(i, labels_a.count), index_array(j, labels_b.count)
     return int(bool(labels_a.masks[i] & labels_b.masks[j]))
 
 

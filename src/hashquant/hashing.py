@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue, TooManyCandidates
-from .features import feature_values
+from .features import feature_values, frozen_copy
 
 WORD_BITS = 64
 MAX_CODE_DIM = np.iinfo(np.uint16).max
@@ -32,7 +32,7 @@ class PackedCodes:
     words: np.ndarray
 
     def __post_init__(self):
-        words = np.array(self.words, dtype=np.uint64, order="F")  # a private copy to freeze
+        words = frozen_copy(self.words, np.uint64, order="F")
         if words.ndim != 2:
             raise ValueError(f"packed words must be 2-D, got shape {words.shape}")
         if not 1 <= self.dim <= MAX_CODE_DIM:
@@ -46,7 +46,6 @@ class PackedCodes:
         if pad_bits and words.shape[0]:
             if (words[:, -1] >> np.uint64(WORD_BITS - pad_bits)).any():
                 raise ValueError("padding bits above dim must be zero")
-        words.setflags(write=False)
         object.__setattr__(self, "words", words)
 
     @property

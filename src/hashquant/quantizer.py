@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
-from .features import feature_values
+from .features import feature_values, frozen_copy, index_array
 
 MAX_BOOK_SIZE = 65536
 
@@ -28,7 +28,7 @@ class QuantizerModel:
     codebooks: np.ndarray
 
     def __post_init__(self):
-        books = np.array(self.codebooks, dtype=np.float64, order="C")  # a private copy to freeze
+        books = frozen_copy(self.codebooks, np.float64)
         if books.ndim != 3:
             raise ValueError(f"codebooks must have shape (m, dim, k), got {books.shape}")
         m, _, k = books.shape
@@ -38,7 +38,6 @@ class QuantizerModel:
             raise ValueError(f"book size must be in [1, {MAX_BOOK_SIZE}], got {k}")
         if not np.isfinite(books).all():
             raise ValueError("codebooks contain non-finite values")
-        books.setflags(write=False)
         object.__setattr__(self, "codebooks", books)
 
     @property
@@ -67,13 +66,8 @@ class IndicatorSet:
         given = np.asarray(self.indices)
         if given.ndim != 2:
             raise ValueError(f"indices must have shape (count, m), got {given.shape}")
-        if not np.issubdtype(given.dtype, np.integer):
-            raise ValueError(f"indices must have an integer dtype, got {given.dtype}")
         # range-check before the narrowing cast, which would wrap -1 or 65536
-        if given.size and (given.min() < 0 or given.max() >= self.book_size):
-            raise ValueError(f"indices must lie in [0, {self.book_size})")
-        indices = np.array(given, dtype=np.uint16, order="F")  # a private copy to freeze
-        indices.setflags(write=False)
+        indices = frozen_copy(index_array(given, self.book_size), np.uint16, order="F")
         object.__setattr__(self, "indices", indices)
 
     @property
@@ -92,12 +86,11 @@ class LookupTable:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = frozen_copy(self.values, np.float64)
         if values.ndim != 2:
             raise ValueError(f"lookup table must be 2-D, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError("lookup table contains non-finite values")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -145,9 +138,7 @@ def _sweep_rows(active: np.ndarray, n_items: int, dim: int, book_size: int) -> n
 
 def reconstruct(model: QuantizerModel, indices: np.ndarray) -> np.ndarray:
     """Sum of the selected columns for each row of `indices` (shape (N, m))."""
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.int64))
-    if indices.size and (indices.min() < 0 or indices.max() >= model.book_size):
-        raise IndexOutOfRange(f"indices must lie in [0, {model.book_size})")
+    indices = np.atleast_2d(index_array(indices, model.book_size))
     out = model.codebooks[0][:, indices[:, 0]].T.copy()
     for book in range(1, model.num_books):
         out += model.codebooks[book][:, indices[:, book]].T
@@ -405,13 +396,11 @@ def build_lookup_table(query: np.ndarray, model: QuantizerModel) -> LookupTable:
 
 def aqd(table: LookupTable, item_indices) -> float:
     """Asymmetric similarity of the table's query to one quantized item."""
-    indices = np.asarray(item_indices, dtype=np.int64).reshape(-1)
+    indices = index_array(item_indices, table.book_size).reshape(-1)
     if indices.shape[0] != table.num_books:
         raise IndexOutOfRange(
             f"expected {table.num_books} indices (one per book), got {indices.shape[0]}"
         )
-    if indices.size and (indices.min() < 0 or indices.max() >= table.book_size):
-        raise IndexOutOfRange(f"indices must lie in [0, {table.book_size})")
     return float(table.values[np.arange(table.num_books), indices].sum())
 
 
@@ -433,5 +422,5 @@ def quantization_residual_norm(feature: np.ndarray, model: QuantizerModel, indic
     feature = np.asarray(feature, dtype=np.float64).reshape(-1)
     if feature.shape[0] != model.dim:
         raise DimMismatch(f"feature has dim {feature.shape[0]}, model has dim {model.dim}")
-    approx = reconstruct(model, np.asarray(indices, dtype=np.int64).reshape(1, -1))[0]
+    approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
     return float(np.linalg.norm(feature - approx))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .binfile import read_file, write_file
 from .errors import CountMismatch, DimMismatch, NonFiniteValue, TooManyCandidates, ZeroNormVector
-from .features import feature_values
+from .features import feature_values, frozen_copy, index_array
 from .hashing import (
     PackedCodes,
     hamming_distances,
@@ -72,19 +72,16 @@ class RankedResult:
     scores: np.ndarray
 
     def __post_init__(self):
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
+        indices = frozen_copy(index_array(self.indices), np.int64)
+        scores = frozen_copy(self.scores, np.float64)
         if indices.shape != scores.shape or indices.ndim != 1:
             raise ValueError("indices and scores must be equal-length 1-D arrays")
         if indices.shape[0] > 1:
-            diffs = np.diff(scores)
+            diffs = scores[1:] - scores[:-1]  # np.diff's arithmetic, without its per-call cost
             if (diffs > 0).any():
                 raise ValueError("scores must be non-increasing")
-            tied = diffs == 0
-            if (np.diff(indices)[tied] <= 0).any():
+            if (indices[1:] <= indices[:-1])[diffs == 0].any():
                 raise ValueError("tied scores must keep ascending item order")
-        indices.setflags(write=False)
-        scores.setflags(write=False)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "scores", scores)
 
@@ -127,12 +124,14 @@ def _finite_query_row(query_feature, dim: int) -> np.ndarray:
     return row
 
 
-def _check_top_k(top_k: int, available: int) -> None:
-    """Every mode returns between 0 and `available` results."""
-    if top_k < 0:
-        raise ValueError(f"top_k must be non-negative, got {top_k}")
-    if top_k > available:
-        raise TooManyCandidates(f"top_k {top_k} exceeds the {available} items available")
+def _check_count(name: str, count: int, available: int) -> None:
+    """`top_k` and `candidates` are integers between 0 and `available`."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    if count > available:
+        raise TooManyCandidates(f"{name} {count} exceeds the {available} items available")
 
 
 def two_stage_query(
@@ -150,11 +149,8 @@ def two_stage_query(
     """
     row = _query_row(query_feature, index.dim)
     query_codes = sign_encode(row.reshape(1, -1))
-    if candidates < 0:
-        raise ValueError(f"candidates must be non-negative, got {candidates}")
-    if candidates > index.count:
-        raise TooManyCandidates(f"asked for {candidates} of {index.count} items")
-    _check_top_k(top_k, candidates)
+    _check_count("candidates", candidates, index.count)
+    _check_count("top_k", top_k, candidates)
     # in index order, the stable select below breaks score ties by index
     shortlist = np.sort(hamming_top_candidates(query_codes, index.codes, candidates))
     table = build_lookup_table(row, index.quantizer)
@@ -166,7 +162,7 @@ def two_stage_query(
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Asymmetric quantizer similarity against every item (no hash filter)."""
     row = _finite_query_row(query_feature, index.dim)
-    _check_top_k(top_k, index.count)
+    _check_count("top_k", top_k, index.count)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
     chosen = nearest_first(-scores, top_k)
@@ -177,7 +173,7 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
     """Rank by ascending Hamming distance only; score is minus the distance."""
     row = _query_row(query_feature, index.dim)
     query_codes = sign_encode(row.reshape(1, -1))
-    _check_top_k(top_k, index.count)
+    _check_count("top_k", top_k, index.count)
     dists = hamming_distances(query_codes, index.codes)
     chosen = nearest_first(dists, top_k)
     return RankedResult(indices=chosen, scores=-dists[chosen].astype(np.float64))
@@ -187,7 +183,7 @@ def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedR
     """Cosine similarity against uncompressed features; the accuracy ceiling."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)
     row = _finite_query_row(query_feature, database.shape[1])
-    _check_top_k(top_k, database.shape[0])
+    _check_count("top_k", top_k, database.shape[0])
     query_norm = np.linalg.norm(row)
     if query_norm == 0:
         raise ZeroNormVector("query vector has zero norm")

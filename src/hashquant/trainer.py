@@ -19,7 +19,7 @@ import scipy.special
 
 from .binfile import read_file, write_file
 from .errors import DimMismatch, NonFiniteValue
-from .features import PairBatch, feature_values
+from .features import PairBatch, feature_values, frozen_copy
 from .quantizer import (
     MAX_BOOK_SIZE,
     IndicatorSet,
@@ -87,14 +87,11 @@ class EncoderParams:
     def __post_init__(self):
         frozen = []
         for weight, bias in self.layers:
-            weight = np.ascontiguousarray(weight, dtype=np.float64)
-            bias = np.ascontiguousarray(bias, dtype=np.float64)
+            weight, bias = frozen_copy(weight, np.float64), frozen_copy(bias, np.float64)
             if weight.ndim != 2 or bias.ndim != 1 or weight.shape[1] != bias.shape[0]:
                 raise ValueError("each layer needs a (d_in, d_out) weight and (d_out,) bias")
             if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
                 raise ValueError("encoder parameters must be finite")
-            weight.setflags(write=False)
-            bias.setflags(write=False)
             frozen.append((weight, bias))
         object.__setattr__(self, "layers", tuple(frozen))
 
@@ -191,7 +188,7 @@ def quant_loss_term(f: np.ndarray, model: QuantizerModel, indices) -> float:
     f = np.asarray(f, dtype=np.float64).reshape(-1)
     if f.shape[0] != model.dim:
         raise DimMismatch(f"row has dim {f.shape[0]}, model has dim {model.dim}")
-    approx = reconstruct(model, np.asarray(indices, dtype=np.int64).reshape(1, -1))[0]
+    approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
     diff = f - approx
     return float(diff @ diff)
 

@@ -138,6 +138,55 @@ def test_train_rejects_bad_settings_before_echoing(workspace, tmp_path, setting)
     assert out == ""
 
 
+# one value per key that the trainer rejects; seed is the only key with no check
+REJECTED_SETTINGS = [
+    "epochs=-1", "batch_size=0", "learning_rate=0.0", "depth=3", "lambda_sim=-1.0", "lambda_h=-1.0",
+    "lambda_b=-1.0", "lambda_q=-1.0", "m=0", "k=0", "k=65537", "alternations=-1",
+]
+
+
+@pytest.mark.parametrize("setting", REJECTED_SETTINGS)
+def test_rejected_setting_names_the_key_the_user_typed(workspace, tmp_path, setting):
+    code, out, err = run_cli(
+        "train", "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--out-model", str(tmp_path / "x.hqm"),
+        "--set", setting,
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: ConfigError: {setting}: ")
+
+
+def test_rejected_settings_cover_every_checked_key():
+    from hashquant.config import _KEYS
+
+    covered = {setting.split("=")[0] for setting in REJECTED_SETTINGS}
+    assert covered == {key for key, _, _ in _KEYS} - {"seed"}
+
+
+def test_repeated_set_key_is_a_config_error(workspace, tmp_path):
+    code, out, err = run_cli(
+        "train", "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--out-model", str(tmp_path / "x.hqm"),
+        "--set", "epochs=1", "--set", " epochs = 0",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: ConfigError:") and "duplicate key 'epochs'" in err
+    assert not (tmp_path / "x.hqm").exists()
+
+
+def test_index_file_with_an_indicator_past_k_names_the_index_error(workspace, tmp_path):
+    data = bytearray(open(workspace["index_b"], "rb").read())
+    data[-2:] = (8).to_bytes(2, "little")  # the last indicator; the model has k = 8
+    bad = tmp_path / "bad.hqx"
+    bad.write_bytes(bytes(data))
+    code, _, err = run_cli(
+        "query", "--queries", workspace["a"], "--index", str(bad),
+        "--model", workspace["model"], "--modality", "a", "--mode", "aqd",
+    )
+    assert code == 1
+    assert err.startswith("error: IndexOutOfRange:")
+
+
 def test_build_rejects_dim_mismatch(workspace, tmp_path):
     other = tmp_path / "wrong.dfm"
     code, _, _ = run_cli(

@@ -65,6 +65,13 @@ class TestRankedResult:
             RankedResult(indices=np.array([3, 1]), scores=np.array([2.0, 2.0]))
         RankedResult(indices=np.array([1, 3]), scores=np.array([2.0, 2.0]))
 
+    def test_rejects_a_repeated_item_at_a_tie(self):
+        from hashquant import RankedResult
+
+        with pytest.raises(ValueError, match="tied"):
+            RankedResult(indices=np.array([0, 4, 4]), scores=np.array([3.0, 2.0, 2.0]))
+        RankedResult(indices=np.array([4, 4]), scores=np.array([3.0, 2.0]))
+
 
 class TestBuildIndex:
     def test_single_item_database(self, rng):
@@ -234,6 +241,19 @@ def test_top_k_zero_is_empty_and_negative_rejected(mode, rng):
     assert len(empty) == 0 and empty.scores.shape == (0,)
     with pytest.raises(ValueError):
         query(features[0], index, features, -3)
+
+
+@pytest.mark.parametrize("mode", list(QUERY_MODES))
+def test_non_integer_top_k_or_candidates_named(mode, rng):
+    features, index = make_index(rng, count=30)
+    query = QUERY_MODES[mode]
+    with pytest.raises(ValueError, match="top_k"):
+        query(features[0], index, features, 2.5)
+    assert len(query(features[0], index, features, np.int64(2))) == 2
+    if mode == "two_stage":
+        with pytest.raises(ValueError, match="candidates"):
+            two_stage_query(features[0], index, candidates=10.5, top_k=2)
+        assert len(two_stage_query(features[0], index, candidates=np.uint8(10), top_k=np.int32(2))) == 2
 
 
 @pytest.mark.parametrize("mode", list(QUERY_MODES))

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import fnmatch
 import sys
 
 import numpy as np
@@ -16,7 +18,9 @@ import numpy as np
 from .config import echo_lines, load_run_config
 from .errors import ConfigError, HashQuantError
 from .evaluate import (
+    AlphaSweepPoint,
     CostModel,
+    NSweepPoint,
     RetrievalTask,
     evaluate_tasks,
     memory_footprint,
@@ -207,6 +211,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# decimals of the float sweep columns, by column name pattern; other columns are written by str()
+_SWEEP_DECIMALS = (("map_*", 6), ("*_seconds", 9), ("ratio", 4))
+
+
+def _sweep_cell(name, value) -> str:
+    for pattern, decimals in _SWEEP_DECIMALS:
+        if fnmatch.fnmatchcase(name, pattern):
+            return f"{value:.{decimals}f}"
+    return str(value)
+
+
+def _write_sweep(path, point_type, points, extra_names=(), extra=lambda point: (), preamble=()):
+    """One CSV row per sweep point: its fields in declaration order, then `extra(point)`."""
+    names = [field.name for field in dataclasses.fields(point_type)]
+    rows = [
+        [_sweep_cell(name, getattr(point, name)) for name in names] + list(extra(point)) for point in points
+    ]
+    _write_csv(path, names + list(extra_names), rows, preamble=preamble)
+
+
 def cmd_bench(args) -> int:
     if args.sweep == "alpha":
         needed = ("features_a", "features_b", "labels", "model")
@@ -217,8 +241,8 @@ def cmd_bench(args) -> int:
         alphas = [float(a) for a in args.alphas.split(",")]
         points = sweep_alpha(task_i2t, task_t2i, alphas, cutoff=args.r, repeats=args.repeats)
         index = task_i2t.index
-        rows = []
-        for point in points:
+
+        def hq_cost(point):
             cost = CostModel(
                 count=index.count,
                 dim=index.dim,
@@ -226,23 +250,10 @@ def cmd_bench(args) -> int:
                 book_size=index.quantizer.book_size,
                 candidates=point.candidates,
             )
-            rows.append(
-                (
-                    point.alpha,
-                    point.candidates,
-                    f"{point.map_i2t:.6f}",
-                    f"{point.map_t2i:.6f}",
-                    f"{point.mean_query_seconds:.9f}",
-                    op_count(cost, "hq"),
-                    memory_footprint(cost, "hq"),
-                )
-            )
-        _write_csv(
-            args.out,
-            ("alpha", "candidates", "map_i2t", "map_t2i", "mean_query_seconds", "hq_ops", "hq_memory_bits"),
-            rows,
-            preamble=_model_echo(index) + [f"cutoff={args.r}", f"repeats={args.repeats}"],
-        )
+            return op_count(cost, "hq"), memory_footprint(cost, "hq")
+
+        preamble = _model_echo(index) + [f"cutoff={args.r}", f"repeats={args.repeats}"]
+        _write_sweep(args.out, AlphaSweepPoint, points, ("hq_ops", "hq_memory_bits"), hq_cost, preamble)
         return 0
 
     dims = [int(d) for d in args.dims.split(",")]
@@ -254,37 +265,7 @@ def cmd_bench(args) -> int:
         repeats=args.repeats,
         seed=args.seed,
     )
-    rows = [
-        (
-            point.dim,
-            point.quant_books,
-            point.quant_book_size,
-            point.hq_memory_bits,
-            point.quant_memory_bits,
-            f"{point.hq_seconds:.9f}",
-            f"{point.quant_seconds:.9f}",
-            f"{point.ratio:.4f}",
-            point.predicted_hq_ops,
-            point.predicted_quant_ops,
-        )
-        for point in points
-    ]
-    _write_csv(
-        args.out,
-        (
-            "dim",
-            "quant_books",
-            "quant_book_size",
-            "hq_memory_bits",
-            "quant_memory_bits",
-            "hq_seconds",
-            "quant_seconds",
-            "ratio",
-            "predicted_hq_ops",
-            "predicted_quant_ops",
-        ),
-        rows,
-    )
+    _write_sweep(args.out, NSweepPoint, points)
     return 0
 
 

@@ -29,6 +29,9 @@ from .retrieval import (
 )
 
 VARIANTS = ("lossless", "binary_hash", "quantization", "hq")
+# the two-stage side of the n sweep: m books of k columns
+HQ_BOOKS = 4
+HQ_BOOK_SIZE = 256
 
 
 def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
@@ -323,22 +326,17 @@ def sweep_alpha(
     return points
 
 
-def equal_memory_quantizer(
-    dim: int,
-    count: int,
-    hq_books: int = 4,
-    hq_book_size: int = 256,
-    tolerance: float = 0.05,
-) -> tuple[int, int]:
+def equal_memory_quantizer(dim: int, count: int, tolerance: float = 0.05) -> tuple[int, int]:
     """Pick (m2, k2) so quantization-only memory matches the hq footprint.
 
-    Prefers the largest power-of-two k2 whose dictionary storage stays under
-    half of the per-book budget (so the budget is spent on per-item code
-    bits, the regime the cost model is about), falling back to any shape
-    within tolerance.  Raises InfeasibleBudget when nothing fits.
+    The hq side has HQ_BOOKS books of HQ_BOOK_SIZE columns.  Prefers the
+    largest power-of-two k2 whose dictionary storage stays under half of the
+    per-book budget (so the budget is spent on per-item code bits, the regime
+    the cost model is about), falling back to any shape within tolerance.
+    Raises InfeasibleBudget when nothing fits.
     """
     target = memory_footprint(
-        CostModel(count=count, dim=dim, num_books=hq_books, book_size=hq_book_size), "hq"
+        CostModel(count=count, dim=dim, num_books=HQ_BOOKS, book_size=HQ_BOOK_SIZE), "hq"
     )
     fitting = []
     for exponent in range(1, 17):
@@ -379,8 +377,6 @@ class NSweepPoint:
 def sweep_n(
     dims,
     count: int = 100_000,
-    hq_books: int = 4,
-    hq_book_size: int = 256,
     candidates: int = 100,
     num_queries: int = 32,
     repeats: int = 7,
@@ -398,9 +394,7 @@ def sweep_n(
     rng = np.random.default_rng(seed)
     points = []
     for dim in dims:
-        quant_books, quant_book_size = equal_memory_quantizer(
-            dim, count, hq_books, hq_book_size
-        )
+        quant_books, quant_book_size = equal_memory_quantizer(dim, count)
         database = rng.standard_normal((count, dim)).astype(np.float32)
         queries = rng.standard_normal((num_queries, dim))
         codes = sign_encode(database)
@@ -416,7 +410,7 @@ def sweep_n(
                 ),
             )
 
-        hq_index = sampled_index(hq_books, hq_book_size)
+        hq_index = sampled_index(HQ_BOOKS, HQ_BOOK_SIZE)
         quant_index = sampled_index(quant_books, quant_book_size)
 
         def run_hq():
@@ -431,7 +425,7 @@ def sweep_n(
             seconds / num_queries for seconds in _median_seconds([run_hq, run_quant], repeats)
         )
         hq_cost = CostModel(
-            count=count, dim=dim, num_books=hq_books, book_size=hq_book_size, candidates=candidates
+            count=count, dim=dim, num_books=HQ_BOOKS, book_size=HQ_BOOK_SIZE, candidates=candidates
         )
         quant_cost = CostModel(
             count=count, dim=dim, num_books=quant_books, book_size=quant_book_size

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue, TooManyCandidates
-from .features import feature_values, frozen_copy
+from .features import feature_values, frozen_copy, index_array
 
 WORD_BITS = 64
 MAX_CODE_DIM = np.iinfo(np.uint16).max
@@ -80,7 +80,7 @@ def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: 
     """Number of differing bit positions between code i of x and code j of y."""
     if codes_x.dim != codes_y.dim:
         raise DimMismatch(f"code dims differ: {codes_x.dim} vs {codes_y.dim}")
-    diff = codes_x.words[i] ^ codes_y.words[j]
+    diff = codes_x.words[index_array(i, codes_x.count)] ^ codes_y.words[index_array(j, codes_y.count)]
     return int(np.bitwise_count(diff).sum())
 
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
+from .errors import CountMismatch, DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
 from .features import feature_values, frozen_copy, index_array
 
 MAX_BOOK_SIZE = 65536
+_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,8 @@ def _sweep_rows(active: np.ndarray, n_items: int, dim: int, book_size: int) -> n
 def reconstruct(model: QuantizerModel, indices: np.ndarray) -> np.ndarray:
     """Sum of the selected columns for each row of `indices` (shape (N, m))."""
     indices = np.atleast_2d(index_array(indices, model.book_size))
+    if indices.shape[1] != model.num_books:
+        raise IndexOutOfRange(f"expected {model.num_books} indices (one per book), got {indices.shape[1]}")
     out = model.codebooks[0][:, indices[:, 0]].T.copy()
     for book in range(1, model.num_books):
         out += model.codebooks[book][:, indices[:, book]].T
@@ -194,10 +197,14 @@ def assign_indicators(
     rows = model.codebooks.transpose(0, 2, 1).copy()
     norms = [(book * book).sum(axis=0) for book in model.codebooks]
     if prev is not None:
-        if prev.count != n_items or prev.num_books != num_books:
+        if (prev.num_books, prev.book_size) != (num_books, model.book_size):
             raise DimMismatch(
-                f"previous indicators are {prev.count}x{prev.num_books}, "
-                f"expected {n_items}x{num_books}"
+                f"previous indicators have {prev.num_books} books of {prev.book_size} columns, "
+                f"model has {num_books} of {model.book_size}"
+            )
+        if prev.count != n_items:
+            raise CountMismatch(
+                f"previous indicators are {prev.count}x{prev.num_books}, expected {n_items}x{num_books}"
             )
         indices = prev.indices.astype(np.int64)
         approx = rows[0][indices[:, 0]]
@@ -267,12 +274,46 @@ def _one_hot_stats(
     return rhs, gram
 
 
+def _modality_values(*features) -> list[np.ndarray]:
+    """The given modalities (None skipped) as float matrices that share one dimension."""
+    values = [_as_float_matrix(part) for part in features if part is not None]
+    if any(part.shape[1] != values[0].shape[1] for part in values[1:]):
+        raise DimMismatch("modalities disagree on feature dimension")
+    return values
+
+
+def _solve_codebooks(values: list[np.ndarray], indicators: list[IndicatorSet], ridge: float) -> QuantizerModel:
+    """Least-squares codebooks for the stacked one-hot indicators, statistics summed in modality order."""
+    num_books, book_size = indicators[0].num_books, indicators[0].book_size
+    rhs = gram = None
+    for part, assigned in zip(values, indicators):
+        if (assigned.num_books, assigned.book_size) != (num_books, book_size):
+            raise DimMismatch("modalities disagree on quantizer shape")
+        if assigned.count != part.shape[0]:
+            raise CountMismatch(f"{part.shape[0]} feature rows but {assigned.count} indicator rows")
+        part_rhs, part_gram = _one_hot_stats(part, assigned.indices, num_books, book_size)
+        if rhs is None:
+            rhs, gram = part_rhs, part_gram
+        else:
+            rhs += part_rhs
+            gram += part_gram
+    if ridge:
+        gram[np.diag_indices_from(gram)] += ridge
+    try:
+        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"indicator Gram matrix is singular: {exc}") from exc
+    solution = scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
+    dim = values[0].shape[1]
+    return QuantizerModel(codebooks=solution.reshape(dim, num_books, book_size).transpose(1, 0, 2))
+
+
 def update_codebooks(
     features_a,
     indicators_a: IndicatorSet,
     features_b=None,
     indicators_b: IndicatorSet | None = None,
-    ridge: float = 1e-8,
+    ridge: float = _RIDGE,
 ) -> QuantizerModel:
     """Closed-form codebook update for fixed indicators.
 
@@ -281,40 +322,10 @@ def update_codebooks(
     the Cholesky solve, which keeps the system definite when some columns
     received no assignments (those columns shrink toward zero).
     """
-    values_a = _as_float_matrix(features_a)
-    num_books, book_size = indicators_a.num_books, indicators_a.book_size
-    if indicators_a.count != values_a.shape[0]:
-        raise DimMismatch(
-            f"{values_a.shape[0]} feature rows but {indicators_a.count} indicator rows"
-        )
-    rhs, gram = _one_hot_stats(values_a, indicators_a.indices, num_books, book_size)
-    if features_b is not None:
-        values_b = _as_float_matrix(features_b)
-        if values_b.shape[1] != values_a.shape[1]:
-            raise DimMismatch("modalities disagree on feature dimension")
-        if indicators_b is None:
-            raise ValueError("features_b given without indicators_b")
-        if (indicators_b.num_books, indicators_b.book_size) != (num_books, book_size):
-            raise DimMismatch("modalities disagree on quantizer shape")
-        if indicators_b.count != values_b.shape[0]:
-            raise DimMismatch(
-                f"{values_b.shape[0]} feature rows but {indicators_b.count} indicator rows"
-            )
-        rhs_b, gram_b = _one_hot_stats(values_b, indicators_b.indices, num_books, book_size)
-        rhs += rhs_b
-        gram += gram_b
-    if ridge:
-        gram[np.diag_indices_from(gram)] += ridge
-    try:
-        chol = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"indicator Gram matrix is singular: {exc}") from exc
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - scipy alias
-        raise SingularSystem(f"indicator Gram matrix is singular: {exc}") from exc
-    solution = scipy.linalg.cho_solve(chol, rhs.T, check_finite=False).T
-    dim = values_a.shape[1]
-    books = solution.reshape(dim, num_books, book_size).transpose(1, 0, 2)
-    return QuantizerModel(codebooks=books)
+    if features_b is not None and indicators_b is None:
+        raise ValueError("features_b given without indicators_b")
+    values = _modality_values(features_a, features_b)
+    return _solve_codebooks(values, [indicators_a, indicators_b][: len(values)], ridge)
 
 
 def quantization_objective(features, model: QuantizerModel, indicators: IndicatorSet) -> float:
@@ -346,44 +357,28 @@ def learn_quantizer(
     """Alternate closed-form codebook updates with indicator reassignment.
 
     Initialization seeds the books from the stacked modalities, then each
-    alternation runs one update_codebooks / assign_indicators round.  The
-    objective sequence (summed over both modalities) is non-increasing, and
-    alternation stops early once no indicator changes.
+    alternation runs one codebook update and one indicator reassignment per
+    modality.  The objective sequence (summed over the modalities) is
+    non-increasing, and alternation stops early once no indicator changes.
     """
-    values_a = _as_float_matrix(features_a)
-    values_b = None if features_b is None else _as_float_matrix(features_b)
-    if values_b is not None and values_b.shape[1] != values_a.shape[1]:
-        raise DimMismatch("modalities disagree on feature dimension")
-    stacked = values_a if values_b is None else np.vstack([values_a, values_b])
-    model = init_codebooks(stacked, num_books, book_size, seed)
-    indicators_a = assign_indicators(values_a, model)
-    indicators_b = None if values_b is None else assign_indicators(values_b, model)
+    values = _modality_values(features_a, features_b)
+    model = init_codebooks(np.vstack(values), num_books, book_size, seed)
+    indicators = [assign_indicators(part, model) for part in values]
 
     def objective() -> float:
-        total = quantization_objective(values_a, model, indicators_a)
-        if values_b is not None:
-            total += quantization_objective(values_b, model, indicators_b)
-        return total
+        return sum(quantization_objective(part, model, assigned) for part, assigned in zip(values, indicators))
 
     objectives = [objective()]
     for _ in range(alternations):
-        model = update_codebooks(values_a, indicators_a, values_b, indicators_b)
-        new_a = assign_indicators(values_a, model, indicators_a)
-        unchanged = (new_a.indices == indicators_a.indices).all()
-        indicators_a = new_a
-        if values_b is not None:
-            new_b = assign_indicators(values_b, model, indicators_b)
-            unchanged = unchanged and (new_b.indices == indicators_b.indices).all()
-            indicators_b = new_b
+        model = _solve_codebooks(values, indicators, _RIDGE)
+        refreshed = [assign_indicators(part, model, prev) for part, prev in zip(values, indicators)]
+        unchanged = all((new.indices == old.indices).all() for new, old in zip(refreshed, indicators))
+        indicators = refreshed
         objectives.append(objective())
         if unchanged:
             break
-    return QuantizerFit(
-        model=model,
-        indicators_a=indicators_a,
-        indicators_b=indicators_b,
-        objectives=tuple(objectives),
-    )
+    indicators_a, indicators_b = [*indicators, None][:2]
+    return QuantizerFit(model, indicators_a, indicators_b, tuple(objectives))
 
 
 def build_lookup_table(query: np.ndarray, model: QuantizerModel) -> LookupTable:

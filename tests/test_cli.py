@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ import pytest
 from hashquant.cli import main
 from hashquant.config import echo_lines, load_run_config, parse_config_text
 from hashquant.errors import ConfigError
+from hashquant.evaluate import AlphaSweepPoint, NSweepPoint
 from hashquant.trainer import LossWeights, TrainConfig
 
 
@@ -372,6 +374,50 @@ def test_bench_n_sweep_writes_table(tmp_path):
     assert [int(r["dim"]) for r in rows] == [16, 32]
     for row in rows:
         assert float(row["ratio"]) > 0
+
+
+# decimals of each float sweep column; every other column but alpha holds an integer
+SWEEP_DECIMALS = {
+    "map_i2t": 6, "map_t2i": 6, "mean_query_seconds": 9, "hq_seconds": 9, "quant_seconds": 9, "ratio": 4,
+}
+
+
+def check_sweep_cells(rows):
+    for row in rows:
+        for name, cell in row.items():
+            if name in SWEEP_DECIMALS:
+                assert re.fullmatch(rf"\d+\.\d{{{SWEEP_DECIMALS[name]}}}", cell), (name, cell)
+            elif name != "alpha":
+                assert re.fullmatch(r"\d+", cell), (name, cell)
+
+
+def test_bench_alpha_csv_layout(workspace, tmp_path):
+    out_csv = tmp_path / "alpha.csv"
+    code, _, err = run_cli(
+        "bench", "--sweep", "alpha",
+        "--features-a", workspace["a"], "--features-b", workspace["b"],
+        "--labels", workspace["labels"], "--model", workspace["model"],
+        "--alphas", "0,0.25,1", "--r", "10", "--repeats", "1", "--out", str(out_csv),
+    )
+    assert code == 0, err
+    lines = [line for line in out_csv.read_text().splitlines() if not line.startswith("#")]
+    point_columns = [field.name for field in fields(AlphaSweepPoint)]
+    assert lines[0].split(",") == point_columns + ["hq_ops", "hq_memory_bits"]
+    rows = list(csv.DictReader(lines))
+    assert [row["alpha"] for row in rows] == ["0.0", "0.25", "1.0"]  # str(float)
+    check_sweep_cells(rows)
+
+
+def test_bench_n_csv_layout(tmp_path):
+    out_csv = tmp_path / "n.csv"
+    code, _, err = run_cli(
+        "bench", "--sweep", "n", "--dims", "16,32", "--count", "2000",
+        "--queries", "2", "--repeats", "1", "--out", str(out_csv),
+    )
+    assert code == 0, err
+    lines = out_csv.read_text().splitlines()
+    assert lines[0].split(",") == [field.name for field in fields(NSweepPoint)]
+    check_sweep_cells(list(csv.DictReader(lines)))
 
 
 TRAIN_KEYS = [

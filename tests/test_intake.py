@@ -13,7 +13,7 @@ import pytest
 from hashquant.errors import IndexOutOfRange
 from hashquant.evaluate import average_precision_at
 from hashquant.features import FeatureMatrix, LabelSet, PairBatch, pair_labels
-from hashquant.hashing import PackedCodes
+from hashquant.hashing import PackedCodes, hamming_distance, sign_encode
 from hashquant.quantizer import (
     IndicatorSet,
     LookupTable,
@@ -80,6 +80,7 @@ def test_value_type_keeps_private_read_only_copies(name):
 MODEL = QuantizerModel(codebooks=RNG.standard_normal((2, 3, 4)))
 LABELS = LabelSet(num_labels=4, masks=np.array([1, 2, 4, 8], dtype=np.uint64))
 MASK = np.array([True, False, True, False])
+CODES = sign_encode(RNG.standard_normal((4, 70)))
 
 BAD_INDICES = {
     "float": [0.7, 1.9],
@@ -106,6 +107,7 @@ INDEX_ENTRY_POINTS = {
         lambda v: average_precision_at([0, 1], v, cutoff=2), ("float", "negative")
     ),
     "pair_labels": (lambda v: pair_labels(LABELS, LABELS, v[0], v[1]), tuple(BAD_INDICES)),
+    "hamming_distance": (lambda v: hamming_distance(CODES, CODES, v[0], v[1]), tuple(BAD_INDICES)),
 }
 
 
@@ -118,6 +120,23 @@ def test_index_entry_point_rejects_bad_indices(entry, bad):
     with pytest.raises(IndexOutOfRange) as caught:
         call(BAD_INDICES[bad])
     assert isinstance(caught.value, ValueError)
+
+
+# each takes one item's (or each row's) indices, one per book of MODEL's 2
+PER_BOOK_ENTRY_POINTS = {
+    "reconstruct": lambda v: reconstruct(MODEL, [v]),
+    "quant_loss_term": lambda v: quant_loss_term(np.ones(3), MODEL, v),
+    "quantization_residual_norm": lambda v: quantization_residual_norm(np.ones(3), MODEL, v),
+}
+
+
+@pytest.mark.parametrize("entry", list(PER_BOOK_ENTRY_POINTS))
+@pytest.mark.parametrize("indices", [[0], [0, 1, 3]], ids=["too-few", "too-many"])
+def test_per_book_entry_point_rejects_a_wrong_index_count(entry, indices):
+    call = PER_BOOK_ENTRY_POINTS[entry]
+    call([0, 1])
+    with pytest.raises(IndexOutOfRange, match=r"expected 2 indices \(one per book\), got"):
+        call(indices)
 
 
 def test_empty_indices_are_still_accepted():

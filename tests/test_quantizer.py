@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashquant import (
+    CountMismatch,
     DimMismatch,
     IndexOutOfRange,
     IndicatorSet,
@@ -145,6 +146,24 @@ class TestAssignIndicators:
         model = QuantizerModel(codebooks=rng.standard_normal((1, 4, 2)))
         with pytest.raises(DimMismatch):
             assign_indicators(rng.standard_normal((3, 5)), model)
+
+    def test_previous_indicators_for_other_items_are_a_count_mismatch(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))
+        prev = IndicatorSet(book_size=4, indices=np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(CountMismatch, match="previous indicators are 4x2, expected 5x2"):
+            assign_indicators(rng.standard_normal((5, 3)), model, prev)
+
+    def test_previous_indicators_for_other_books_stay_a_dim_mismatch(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))
+        prev = IndicatorSet(book_size=4, indices=np.zeros((5, 3), dtype=np.int64))
+        with pytest.raises(DimMismatch):
+            assign_indicators(rng.standard_normal((5, 3)), model, prev)
+
+    def test_previous_indicators_over_other_columns_are_a_dim_mismatch(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((2, 3, 4)))
+        prev = IndicatorSet(book_size=8, indices=np.full((5, 2), 7, dtype=np.int64))
+        with pytest.raises(DimMismatch, match="2 books of 8 columns, model has 2 of 4"):
+            assign_indicators(rng.standard_normal((5, 3)), model, prev)
 
 
 def full_sweep_assign(values, model, prev, max_rounds):
@@ -293,6 +312,27 @@ class TestUpdateCodebooks:
         )
         assert np.allclose(joint.codebooks, stacked.codebooks)
 
+    @pytest.mark.parametrize("short", ["a", "b"])
+    def test_indicators_for_other_items_are_a_count_mismatch(self, rng, short):
+        features = {side: rng.standard_normal((5, 3)) for side in "ab"}
+        indicators = {
+            side: IndicatorSet(book_size=2, indices=np.zeros((4 if side == short else 5, 1), dtype=np.int64))
+            for side in "ab"
+        }
+        with pytest.raises(CountMismatch, match="5 feature rows but 4 indicator rows"):
+            update_codebooks(features["a"], indicators["a"], features["b"], indicators["b"])
+
+    def test_modalities_with_other_books_are_a_dim_mismatch(self, rng):
+        features = rng.standard_normal((5, 3))
+        ind_a = IndicatorSet(book_size=2, indices=np.zeros((5, 1), dtype=np.int64))
+        ind_b = IndicatorSet(book_size=4, indices=np.zeros((5, 1), dtype=np.int64))
+        with pytest.raises(DimMismatch, match="quantizer shape"):
+            update_codebooks(features, ind_a, features, ind_b)
+        with pytest.raises(DimMismatch, match="feature dimension"):
+            update_codebooks(features, ind_a, features[:, :2], ind_a)
+        with pytest.raises(ValueError, match="without indicators_b"):
+            update_codebooks(features, ind_a, features)
+
     def test_singular_without_ridge(self):
         features = np.array([[1.0, 2.0]])
         indicators = IndicatorSet(book_size=2, indices=np.zeros((1, 1), dtype=np.int32))
@@ -322,6 +362,35 @@ class TestLearnQuantizer:
         fit = learn_quantizer(features_a, features_b, num_books=2, book_size=8, alternations=10, seed=7)
         for before, after in zip(fit.objectives, fit.objectives[1:]):
             assert after <= before + 1e-9
+
+    def test_two_modality_fit_is_its_steps_in_modality_order(self, rng):
+        # one alternation by hand: a's statistics and objective first, then b's
+        features_a = rng.standard_normal((40, 5))
+        features_b = rng.standard_normal((40, 5))
+        fit = learn_quantizer(features_a, features_b, num_books=2, book_size=4, alternations=1, seed=5)
+        model = init_codebooks(np.vstack([features_a, features_b]), 2, 4, seed=5)
+        ind_a, ind_b = assign_indicators(features_a, model), assign_indicators(features_b, model)
+        first = quantization_objective(features_a, model, ind_a)
+        first += quantization_objective(features_b, model, ind_b)
+        model = update_codebooks(features_a, ind_a, features_b, ind_b)
+        ind_a = assign_indicators(features_a, model, ind_a)
+        ind_b = assign_indicators(features_b, model, ind_b)
+        second = quantization_objective(features_a, model, ind_a)
+        second += quantization_objective(features_b, model, ind_b)
+        assert fit.model.codebooks.tobytes() == model.codebooks.tobytes()
+        assert (fit.indicators_a.indices == ind_a.indices).all()
+        assert (fit.indicators_b.indices == ind_b.indices).all()
+        assert fit.objectives == (first, second)
+
+    def test_one_modality_fit_has_no_second_indicators(self, rng):
+        features = rng.standard_normal((30, 4))
+        fit = learn_quantizer(features, num_books=2, book_size=4, alternations=1, seed=2)
+        model = init_codebooks(features, 2, 4, seed=2)
+        indicators = assign_indicators(features, model)
+        model = update_codebooks(features, indicators)
+        assert fit.indicators_b is None
+        assert fit.model.codebooks.tobytes() == model.codebooks.tobytes()
+        assert (fit.indicators_a.indices == assign_indicators(features, model, indicators).indices).all()
 
     def test_beats_unrefined_random_restarts(self):
         features_a, features_b, _ = synth_dataset(4, 25, 6, 0.2, seed=21)

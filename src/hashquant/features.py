@@ -83,6 +83,14 @@ def index_array(values, upper: int | None = None) -> np.ndarray:
     return indices
 
 
+def one_index(value, upper: int) -> int:
+    """One index in [0, upper), checked as `index_array` checks; a list or array raises IndexOutOfRange."""
+    index = index_array(value, upper)
+    if index.ndim:
+        raise IndexOutOfRange(f"expected one index, got shape {index.shape}")
+    return int(index)
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Per-item 64-bit label masks over a vocabulary of num_labels bits."""
@@ -168,8 +176,8 @@ def load_labels(path) -> LabelSet:
 
 def pair_labels(labels_a: LabelSet, labels_b: LabelSet, i: int, j: int) -> int:
     """1 when items i (modality A) and j (modality B) share any label, else 0."""
-    i, j = index_array(i, labels_a.count), index_array(j, labels_b.count)
-    return int(bool(labels_a.masks[i] & labels_b.masks[j]))
+    shared = labels_a.masks[one_index(i, labels_a.count)] & labels_b.masks[one_index(j, labels_b.count)]
+    return int(bool(shared))
 
 
 def _similarity_row(labels_a: LabelSet, labels_b: LabelSet, idx_a, idx_b) -> np.ndarray:

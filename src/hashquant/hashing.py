@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue, TooManyCandidates
-from .features import feature_values, frozen_copy, index_array
+from .features import feature_values, frozen_copy, one_index
 
 WORD_BITS = 64
 MAX_CODE_DIM = np.iinfo(np.uint16).max
@@ -80,7 +80,7 @@ def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: 
     """Number of differing bit positions between code i of x and code j of y."""
     if codes_x.dim != codes_y.dim:
         raise DimMismatch(f"code dims differ: {codes_x.dim} vs {codes_y.dim}")
-    diff = codes_x.words[index_array(i, codes_x.count)] ^ codes_y.words[index_array(j, codes_y.count)]
+    diff = codes_x.words[one_index(i, codes_x.count)] ^ codes_y.words[one_index(j, codes_y.count)]
     return int(np.bitwise_count(diff).sum())
 
 
@@ -112,14 +112,21 @@ def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
     return pool[np.argsort(dists[pool], kind="stable")[:count]]
 
 
+def check_count(name: str, count: int, available: int) -> None:
+    """`count` (a `top_k` or `candidates`) is an integer between 0 and `available`."""
+    if not isinstance(count, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {count!r}")
+    if count < 0:
+        raise ValueError(f"{name} must be non-negative, got {count}")
+    if count > available:
+        raise TooManyCandidates(f"{name} {count} exceeds the {available} items available")
+
+
 def hamming_top_candidates(query: PackedCodes, database: PackedCodes, candidates: int) -> np.ndarray:
     """Indices of the `candidates` codes closest to the query.
 
     Selection is exact: ties in distance break by ascending item index, and
     the output is ordered by (distance, index).
     """
-    if candidates > database.count:
-        raise TooManyCandidates(f"asked for {candidates} of {database.count} items")
-    if candidates < 0:
-        raise ValueError("candidate count must be non-negative")
+    check_count("candidates", candidates, database.count)
     return nearest_first(hamming_distances(query, database), candidates)

@@ -324,6 +324,8 @@ def update_codebooks(
     """
     if features_b is not None and indicators_b is None:
         raise ValueError("features_b given without indicators_b")
+    if indicators_b is not None and features_b is None:
+        raise ValueError("indicators_b given without features_b")
     values = _modality_values(features_a, features_b)
     return _solve_codebooks(values, [indicators_a, indicators_b][: len(values)], ridge)
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import read_file, write_file
-from .errors import CountMismatch, DimMismatch, NonFiniteValue, TooManyCandidates, ZeroNormVector
+from .errors import CountMismatch, DimMismatch, NonFiniteValue, ZeroNormVector
 from .features import feature_values, frozen_copy, index_array
 from .hashing import (
     PackedCodes,
+    check_count,
     hamming_distances,
     hamming_top_candidates,
     nearest_first,
@@ -124,16 +125,6 @@ def _finite_query_row(query_feature, dim: int) -> np.ndarray:
     return row
 
 
-def _check_count(name: str, count: int, available: int) -> None:
-    """`top_k` and `candidates` are integers between 0 and `available`."""
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {count!r}")
-    if count < 0:
-        raise ValueError(f"{name} must be non-negative, got {count}")
-    if count > available:
-        raise TooManyCandidates(f"{name} {count} exceeds the {available} items available")
-
-
 def two_stage_query(
     query_feature,
     index: RetrievalIndex,
@@ -149,10 +140,9 @@ def two_stage_query(
     """
     row = _query_row(query_feature, index.dim)
     query_codes = sign_encode(row.reshape(1, -1))
-    _check_count("candidates", candidates, index.count)
-    _check_count("top_k", top_k, candidates)
     # in index order, the stable select below breaks score ties by index
     shortlist = np.sort(hamming_top_candidates(query_codes, index.codes, candidates))
+    check_count("top_k", top_k, candidates)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators, items=shortlist)
     chosen = nearest_first(-scores, top_k)
@@ -162,7 +152,7 @@ def two_stage_query(
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Asymmetric quantizer similarity against every item (no hash filter)."""
     row = _finite_query_row(query_feature, index.dim)
-    _check_count("top_k", top_k, index.count)
+    check_count("top_k", top_k, index.count)
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
     chosen = nearest_first(-scores, top_k)
@@ -173,7 +163,7 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
     """Rank by ascending Hamming distance only; score is minus the distance."""
     row = _query_row(query_feature, index.dim)
     query_codes = sign_encode(row.reshape(1, -1))
-    _check_count("top_k", top_k, index.count)
+    check_count("top_k", top_k, index.count)
     dists = hamming_distances(query_codes, index.codes)
     chosen = nearest_first(dists, top_k)
     return RankedResult(indices=chosen, scores=-dists[chosen].astype(np.float64))
@@ -183,7 +173,7 @@ def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedR
     """Cosine similarity against uncompressed features; the accuracy ceiling."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)
     row = _finite_query_row(query_feature, database.shape[1])
-    _check_count("top_k", top_k, database.shape[0])
+    check_count("top_k", top_k, database.shape[0])
     query_norm = np.linalg.norm(row)
     if query_norm == 0:
         raise ZeroNormVector("query vector has zero norm")

@@ -61,6 +61,9 @@ class TrainConfig:
     book_size: int = 256
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "alternations", "seed", "depth", "num_books", "book_size"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -199,22 +202,37 @@ def _batch_terms(
     features_b,
     encoder_a: EncoderParams,
     encoder_b: EncoderParams,
+    weights: LossWeights,
     quantizer: QuantizerModel | None,
     indicators_a: IndicatorSet | None,
     indicators_b: IndicatorSet | None,
 ):
-    """Forward the batch once and return everything the loss and grads need."""
+    """Forward the batch once; reconstructions only when the quantization term is on."""
     values_a = np.asarray(feature_values(features_a), dtype=np.float64)
     values_b = np.asarray(feature_values(features_b), dtype=np.float64)
     acts_a = _forward_cached(encoder_a, values_a[batch.index_a])
     acts_b = _forward_cached(encoder_b, values_b[batch.index_b])
-    f_a, f_b = acts_a[-1], acts_b[-1]
-    z = (f_a * f_b).sum(axis=1)
     recon_a = recon_b = None
-    if quantizer is not None and indicators_a is not None and indicators_b is not None:
+    if weights.lambda_q:
+        if quantizer is None or indicators_a is None or indicators_b is None:
+            raise ValueError("lambda_q > 0 requires a quantizer and indicators")
         recon_a = reconstruct(quantizer, indicators_a.indices[batch.index_a])
         recon_b = reconstruct(quantizer, indicators_b.indices[batch.index_b])
-    return acts_a, acts_b, f_a, f_b, z, recon_a, recon_b
+    return acts_a, acts_b, recon_a, recon_b
+
+
+def _weighted_loss(f_a, f_b, similar, weights: LossWeights, recon_a, recon_b) -> float:
+    """The four-term sum over pair rows: outputs and reconstructions row-aligned with `similar`."""
+    z = (f_a * f_b).sum(axis=1)
+    s = similar.astype(np.float64)
+    loss = weights.lambda_sim * float((_softplus(z) - s * z).sum())
+    if weights.lambda_h:
+        loss += weights.lambda_h * float(((f_a - _sign(f_a)) ** 2).sum() + ((f_b - _sign(f_b)) ** 2).sum())
+    if weights.lambda_b:
+        loss += weights.lambda_b * float((f_a.sum(axis=1) ** 2).sum() + (f_b.sum(axis=1) ** 2).sum())
+    if weights.lambda_q:
+        loss += weights.lambda_q * float(((f_a - recon_a) ** 2).sum() + ((f_b - recon_b) ** 2).sum())
+    return loss
 
 
 def total_loss(
@@ -229,26 +247,10 @@ def total_loss(
     indicators_b: IndicatorSet | None = None,
 ) -> float:
     """Weighted sum of all four terms over the batch (both modalities)."""
-    _, _, f_a, f_b, z, recon_a, recon_b = _batch_terms(
-        batch, features_a, features_b, encoder_a, encoder_b, quantizer, indicators_a, indicators_b
+    acts_a, acts_b, recon_a, recon_b = _batch_terms(
+        batch, features_a, features_b, encoder_a, encoder_b, weights, quantizer, indicators_a, indicators_b
     )
-    s = batch.similar.astype(np.float64)
-    loss = weights.lambda_sim * float((_softplus(z) - s * z).sum())
-    if weights.lambda_h:
-        loss += weights.lambda_h * float(
-            ((f_a - _sign(f_a)) ** 2).sum() + ((f_b - _sign(f_b)) ** 2).sum()
-        )
-    if weights.lambda_b:
-        loss += weights.lambda_b * float(
-            (f_a.sum(axis=1) ** 2).sum() + (f_b.sum(axis=1) ** 2).sum()
-        )
-    if weights.lambda_q:
-        if recon_a is None:
-            raise ValueError("lambda_q > 0 requires a quantizer and indicators")
-        loss += weights.lambda_q * float(
-            ((f_a - recon_a) ** 2).sum() + ((f_b - recon_b) ** 2).sum()
-        )
-    return loss
+    return _weighted_loss(acts_a[-1], acts_b[-1], batch.similar, weights, recon_a, recon_b)
 
 
 def loss_gradients(
@@ -269,11 +271,12 @@ def loss_gradients(
     2(f - reconstruction); the similarity term contributes
     (sigmoid(z) - s) * f_other per pair.
     """
-    acts_a, acts_b, f_a, f_b, z, recon_a, recon_b = _batch_terms(
-        batch, features_a, features_b, encoder_a, encoder_b, quantizer, indicators_a, indicators_b
+    acts_a, acts_b, recon_a, recon_b = _batch_terms(
+        batch, features_a, features_b, encoder_a, encoder_b, weights, quantizer, indicators_a, indicators_b
     )
+    f_a, f_b = acts_a[-1], acts_b[-1]
     s = batch.similar.astype(np.float64)
-    sig = scipy.special.expit(z)
+    sig = scipy.special.expit((f_a * f_b).sum(axis=1))
     d_fa = weights.lambda_sim * (sig - s)[:, None] * f_b
     d_fb = weights.lambda_sim * (sig - s)[:, None] * f_a
     if weights.lambda_h:
@@ -283,8 +286,6 @@ def loss_gradients(
         d_fa += weights.lambda_b * 2.0 * f_a.sum(axis=1, keepdims=True)
         d_fb += weights.lambda_b * 2.0 * f_b.sum(axis=1, keepdims=True)
     if weights.lambda_q:
-        if recon_a is None:
-            raise ValueError("lambda_q > 0 requires a quantizer and indicators")
         d_fa += weights.lambda_q * 2.0 * (f_a - recon_a)
         d_fb += weights.lambda_q * 2.0 * (f_b - recon_b)
     return _backprop(encoder_a, acts_a, d_fa), _backprop(encoder_b, acts_b, d_fb)
@@ -321,7 +322,9 @@ def train(
     re-encodes the full training set and runs `config.alternations` rounds of
     codebook update plus indicator reassignment.  Everything is seeded, so a
     rerun with the same inputs is bitwise identical.  The returned losses are
-    the full-batch loss before training and after each epoch.
+    the four-term loss over all pairs before training and after each epoch,
+    gathered from the rows of that epoch's own encodings after its quantizer
+    refresh, not from a second forward pass.
     """
     values_a = np.asarray(feature_values(features_a), dtype=np.float64)
     values_b = np.asarray(feature_values(features_b), dtype=np.float64)
@@ -341,32 +344,27 @@ def train(
     encoded_a = encoder_forward(encoder_a, values_a)
     encoded_b = encoder_forward(encoder_b, values_b)
     fit = learn_quantizer(
-        encoded_a,
-        encoded_b,
-        num_books=config.num_books,
-        book_size=config.book_size,
-        alternations=config.alternations,
-        seed=int(seeds[3]),
+        encoded_a, encoded_b, num_books=config.num_books, book_size=config.book_size,
+        alternations=config.alternations, seed=int(seeds[3]),
     )
     quantizer, indicators_a, indicators_b = fit.model, fit.indicators_a, fit.indicators_b
 
-    def full_loss() -> float:
-        return total_loss(
-            pairs, values_a, values_b, encoder_a, encoder_b, weights,
-            quantizer, indicators_a, indicators_b,
+    def epoch_loss() -> float:
+        recon_a = recon_b = None
+        if weights.lambda_q:
+            recon_a = reconstruct(quantizer, indicators_a.indices)[pairs.index_a]
+            recon_b = reconstruct(quantizer, indicators_b.indices)[pairs.index_b]
+        return _weighted_loss(
+            encoded_a[pairs.index_a], encoded_b[pairs.index_b], pairs.similar, weights, recon_a, recon_b
         )
 
-    losses = [full_loss()]
+    losses = [epoch_loss()]
     n_pairs = len(pairs)
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_pairs)
         for start in range(0, n_pairs, config.batch_size):
             chosen = order[start : start + config.batch_size]
-            minibatch = PairBatch(
-                index_a=pairs.index_a[chosen],
-                index_b=pairs.index_b[chosen],
-                similar=pairs.similar[chosen],
-            )
+            minibatch = PairBatch(pairs.index_a[chosen], pairs.index_b[chosen], pairs.similar[chosen])
             grads_a, grads_b = loss_gradients(
                 minibatch, values_a, values_b, encoder_a, encoder_b, weights,
                 quantizer, indicators_a, indicators_b,
@@ -390,16 +388,9 @@ def train(
             indicators_a, indicators_b = new_a, new_b
             if unchanged:
                 break
-        losses.append(full_loss())
+        losses.append(epoch_loss())
 
-    return TrainResult(
-        encoder_a=encoder_a,
-        encoder_b=encoder_b,
-        quantizer=quantizer,
-        indicators_a=indicators_a,
-        indicators_b=indicators_b,
-        losses=tuple(losses),
-    )
+    return TrainResult(encoder_a, encoder_b, quantizer, indicators_a, indicators_b, tuple(losses))
 
 
 def save_model(path, encoder_a: EncoderParams, encoder_b: EncoderParams, quantizer: QuantizerModel) -> None:

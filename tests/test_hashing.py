@@ -147,6 +147,15 @@ def test_top_candidates_too_many():
         hamming_top_candidates(query, database, 4)
 
 
+@pytest.mark.parametrize("candidates", [2.5, -1], ids=["float", "negative"])
+def test_top_candidates_bad_count_is_a_value_error_naming_candidates(candidates):
+    database = encode_rows(np.ones((3, 8)))
+    query = encode_rows(np.ones(8))
+    assert hamming_top_candidates(query, database, np.int64(2)).tolist() == [0, 1]
+    with pytest.raises(ValueError, match="candidates"):
+        hamming_top_candidates(query, database, candidates)
+
+
 def test_hamming_distances_dim_mismatch():
     with pytest.raises(DimMismatch):
         hamming_distances(encode_rows(np.ones(8)), encode_rows(np.ones((2, 9))))

@@ -122,6 +122,23 @@ def test_index_entry_point_rejects_bad_indices(entry, bad):
     assert isinstance(caught.value, ValueError)
 
 
+# each takes one index per argument, so an index list or array is not a batch of calls
+SCALAR_ENTRY_POINTS = {
+    "pair_labels": lambda i, j: pair_labels(LABELS, LABELS, i, j),
+    "hamming_distance": lambda i, j: hamming_distance(CODES, CODES, i, j),
+}
+
+
+@pytest.mark.parametrize("entry", list(SCALAR_ENTRY_POINTS))
+@pytest.mark.parametrize("many", [[1, 2], np.array([1]), []], ids=["list", "one-row-array", "empty"])
+def test_scalar_entry_point_rejects_an_index_list(entry, many):
+    call = SCALAR_ENTRY_POINTS[entry]
+    call(np.int64(1), 0)  # a numpy integer is one index
+    for args in ((many, 0), (0, many)):
+        with pytest.raises(IndexOutOfRange, match="expected one index"):
+            call(*args)
+
+
 # each takes one item's (or each row's) indices, one per book of MODEL's 2
 PER_BOOK_ENTRY_POINTS = {
     "reconstruct": lambda v: reconstruct(MODEL, [v]),

@@ -332,6 +332,9 @@ class TestUpdateCodebooks:
             update_codebooks(features, ind_a, features[:, :2], ind_a)
         with pytest.raises(ValueError, match="without indicators_b"):
             update_codebooks(features, ind_a, features)
+        nine_rows = IndicatorSet(book_size=2, indices=np.zeros((9, 1), dtype=np.int64))
+        with pytest.raises(ValueError, match="indicators_b given without features_b"):
+            update_codebooks(features, ind_a, None, nine_rows)
 
     def test_singular_without_ridge(self):
         features = np.array([[1.0, 2.0]])

@@ -289,6 +289,19 @@ class TestTrain:
             with pytest.raises(NonFiniteValue, match="epoch 1 of 2"):
                 train(features_a, features_b, pairs, config, LossWeights())
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_last_loss_is_the_total_loss_of_the_returned_model(self, depth, epochs):
+        # train gathers its loss from the epoch's encodings; total_loss forwards the pair rows itself
+        features_a, features_b, pairs = self.make_inputs(seed=4)
+        weights = LossWeights()
+        config = TrainConfig(epochs=epochs, batch_size=8, depth=depth, num_books=2, book_size=4, seed=6)
+        result = train(features_a, features_b, pairs, config, weights)
+        assert result.losses[-1] == total_loss(
+            pairs, features_a, features_b, result.encoder_a, result.encoder_b, weights,
+            result.quantizer, result.indicators_a, result.indicators_b,
+        )
+
     def test_negative_pair_index_never_reaches_training(self):
         features_a, features_b, pairs = self.make_inputs(seed=3)
         config = TrainConfig(epochs=1, num_books=1, book_size=4, seed=3)
@@ -320,15 +333,21 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             TrainConfig(depth=3)
 
+    # each bad value fails naming its field; its integer part, one step toward the valid range, passes
     @pytest.mark.parametrize(
         "field, value",
         [("num_books", 0), ("book_size", 0), ("book_size", MAX_BOOK_SIZE + 1),
-         ("alternations", -1)],
+         ("alternations", -1), ("epochs", 2.5), ("batch_size", 2.5), ("seed", 2.5), ("depth", 2.0),
+         ("num_books", 2.5), ("book_size", 2.5), ("alternations", 2.5)],
     )
     def test_quantizer_fields_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
-        TrainConfig(**{field: value + (1 if value < 1 else -1)})
+        TrainConfig(**{field: int(value) + (1 if value < 1 else -1)})
+
+    def test_integer_fields_accept_numpy_integers(self):
+        config = TrainConfig(epochs=np.int64(2), seed=np.uint32(5), depth=np.int8(2), book_size=np.int32(16))
+        assert (config.epochs, config.seed, config.depth, config.book_size) == (2, 5, 2, 16)
 
 
 class TestModelFile:

@@ -19,12 +19,9 @@ from .config import echo_lines, load_run_config
 from .errors import ConfigError, HashQuantError
 from .evaluate import (
     AlphaSweepPoint,
-    CostModel,
     NSweepPoint,
     RetrievalTask,
     evaluate_tasks,
-    memory_footprint,
-    op_count,
     ranked_results,
     sweep_alpha,
     sweep_n,
@@ -222,13 +219,11 @@ def _sweep_cell(name, value) -> str:
     return str(value)
 
 
-def _write_sweep(path, point_type, points, extra_names=(), extra=lambda point: (), preamble=()):
-    """One CSV row per sweep point: its fields in declaration order, then `extra(point)`."""
+def _write_sweep(path, point_type, points, preamble=()):
+    """One CSV row per sweep point: its fields in declaration order."""
     names = [field.name for field in dataclasses.fields(point_type)]
-    rows = [
-        [_sweep_cell(name, getattr(point, name)) for name in names] + list(extra(point)) for point in points
-    ]
-    _write_csv(path, names + list(extra_names), rows, preamble=preamble)
+    rows = [[_sweep_cell(name, getattr(point, name)) for name in names] for point in points]
+    _write_csv(path, names, rows, preamble=preamble)
 
 
 def cmd_bench(args) -> int:
@@ -240,20 +235,8 @@ def cmd_bench(args) -> int:
         task_i2t, task_t2i, _, _ = _eval_tasks(args)
         alphas = [float(a) for a in args.alphas.split(",")]
         points = sweep_alpha(task_i2t, task_t2i, alphas, cutoff=args.r, repeats=args.repeats)
-        index = task_i2t.index
-
-        def hq_cost(point):
-            cost = CostModel(
-                count=index.count,
-                dim=index.dim,
-                num_books=index.quantizer.num_books,
-                book_size=index.quantizer.book_size,
-                candidates=point.candidates,
-            )
-            return op_count(cost, "hq"), memory_footprint(cost, "hq")
-
-        preamble = _model_echo(index) + [f"cutoff={args.r}", f"repeats={args.repeats}"]
-        _write_sweep(args.out, AlphaSweepPoint, points, ("hq_ops", "hq_memory_bits"), hq_cost, preamble)
+        preamble = _model_echo(task_i2t.index) + [f"cutoff={args.r}", f"repeats={args.repeats}"]
+        _write_sweep(args.out, AlphaSweepPoint, points, preamble)
         return 0
 
     dims = [int(d) for d in args.dims.split(",")]

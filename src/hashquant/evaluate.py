@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleBudget, KNotPowerOfTwo
-from .features import index_array
+from .features import feature_values, index_array
 from .hashing import sign_encode
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
@@ -46,8 +46,8 @@ def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
         AP@R in [0, 1]: sum of precision-at-hit over the first R ranks,
         divided by min(|relevant|, R); 0 when nothing is relevant.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    if not isinstance(cutoff, (int, np.integer)) or cutoff < 1:
+        raise ValueError(f"cutoff must be an integer >= 1, got {cutoff!r}")
     ranked = ranking.indices if isinstance(ranking, RankedResult) else np.asarray(ranking)
     relevant = np.asarray(list(relevant) if isinstance(relevant, (set, frozenset)) else relevant)
     is_mask = relevant.dtype == bool
@@ -112,7 +112,7 @@ def ranked_results(
     if mode == "lossless":
         if database_features is None:
             raise ValueError("lossless mode needs database_features")
-        n_items = np.asarray(database_features).shape[0]
+        n_items = feature_values(database_features).shape[0]
         top_k = min(top_k, n_items)
         return [lossless_query(q, database_features, top_k) for q in queries]
     if index is None:
@@ -192,10 +192,6 @@ class CostModel:
     book_size: int
     candidates: int = 100
 
-    @property
-    def alpha(self) -> float:
-        return self.candidates / self.count
-
 
 def _log2_exact(k: int) -> int:
     if k < 1 or (k & (k - 1)) != 0:
@@ -258,6 +254,8 @@ class AlphaSweepPoint:
     map_i2t: float
     map_t2i: float
     mean_query_seconds: float
+    hq_ops: int
+    hq_memory_bits: int
 
 
 def _median_seconds(runs, repeats: int) -> list[float]:
@@ -285,16 +283,18 @@ def sweep_alpha(
     cutoff: int = 50,
     repeats: int = 5,
 ) -> list[AlphaSweepPoint]:
-    """MAP and per-query time as the candidate budget fraction varies.
+    """MAP, per-query time and the cost model's hq row as the candidate budget fraction varies.
 
     alpha = 0 ranks with hash codes only; alpha > 0 runs the two-stage query
     with max(1, round(alpha * N)) candidates, so alpha = 1 matches the
     quantization-only ranking.  Times are medians over >= 5 repetitions of
-    the full query set, divided by the query count.
+    the full query set, divided by the query count.  The op and memory
+    columns count task_i2t's index at each point's candidate budget.
     """
     points = []
     tasks = (task_i2t, task_t2i)
-    n_items = task_i2t.index.count
+    index = task_i2t.index
+    n_items = index.count
     total_queries = len(task_i2t.queries) + len(task_t2i.queries)
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
@@ -314,6 +314,13 @@ def sweep_alpha(
                 ranked_results(task.queries, mode=mode, index=task.index, top_k=cutoff, candidates=budget)
 
         seconds = _median_seconds([run_queries], repeats)[0] / total_queries
+        cost = CostModel(
+            count=n_items,
+            dim=index.dim,
+            num_books=index.quantizer.num_books,
+            book_size=index.quantizer.book_size,
+            candidates=budget,
+        )
         points.append(
             AlphaSweepPoint(
                 alpha=float(alpha),
@@ -321,6 +328,8 @@ def sweep_alpha(
                 map_i2t=maps[0],
                 map_t2i=maps[1],
                 mean_query_seconds=seconds,
+                hq_ops=op_count(cost, "hq"),
+                hq_memory_bits=memory_footprint(cost, "hq"),
             )
         )
     return points

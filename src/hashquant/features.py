@@ -174,12 +174,6 @@ def load_labels(path) -> LabelSet:
     return LabelSet(num_labels=num_labels, masks=masks)
 
 
-def pair_labels(labels_a: LabelSet, labels_b: LabelSet, i: int, j: int) -> int:
-    """1 when items i (modality A) and j (modality B) share any label, else 0."""
-    shared = labels_a.masks[one_index(i, labels_a.count)] & labels_b.masks[one_index(j, labels_b.count)]
-    return int(bool(shared))
-
-
 def _similarity_row(labels_a: LabelSet, labels_b: LabelSet, idx_a, idx_b) -> np.ndarray:
     return ((labels_a.masks[idx_a] & labels_b.masks[idx_b]) != 0).astype(np.int8)
 

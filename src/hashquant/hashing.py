@@ -69,13 +69,6 @@ def sign_encode(features) -> PackedCodes:
     return PackedCodes(dim=dim, words=words)
 
 
-def unpack_signs(codes: PackedCodes) -> np.ndarray:
-    """Expand packed codes back to a float {-1, +1} matrix of shape (N, dim)."""
-    as_bytes = np.ascontiguousarray(codes.words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, : codes.dim]
-    return bits.astype(np.float64) * 2.0 - 1.0
-
-
 def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: int = 0) -> int:
     """Number of differing bit positions between code i of x and code j of y."""
     if codes_x.dim != codes_y.dim:

@@ -12,6 +12,8 @@ refresh at epoch boundaries.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +36,15 @@ MODEL_MAGIC = b"HQM1"
 MODEL_VERSION = 1
 
 
+def _check_finite(name: str, value) -> None:
+    """A float setting must be a finite real number before numpy sees it."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
-    """Multipliers for the four loss terms; all must be non-negative."""
+    """Multipliers for the four loss terms; each must be a finite, non-negative real number."""
 
     lambda_sim: float = 50.0
     lambda_h: float = 0.01
@@ -45,6 +53,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_sim", "lambda_h", "lambda_b", "lambda_q"):
+            _check_finite(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -68,6 +77,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        _check_finite("learning_rate", self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.depth not in (1, 2):
@@ -106,10 +118,6 @@ class EncoderParams:
     def input_dim(self) -> int:
         return self.layers[0][0].shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1][0].shape[1]
-
 
 def init_encoder(dim: int, depth: int, seed: int, modality: str = "") -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
@@ -125,16 +133,14 @@ def init_encoder(dim: int, depth: int, seed: int, modality: str = "") -> Encoder
 
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
     """tanh(W x + c) per layer; accepts one row or a batch of rows."""
-    out = np.asarray(x, dtype=np.float64)
-    if out.shape[-1] != params.input_dim:
-        raise DimMismatch(f"input has dim {out.shape[-1]}, encoder expects {params.input_dim}")
-    for weight, bias in params.layers:
-        out = np.tanh(out @ weight + bias)
-    return out
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != params.input_dim:
+        raise DimMismatch(f"input has dim {x.shape[-1]}, encoder expects {params.input_dim}")
+    return _forward_cached(params, x)[-1]
 
 
 def _forward_cached(params: EncoderParams, x: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer (input first), for backprop through tanh chains."""
+    """Activations per layer, input first: the last is the encoder output, the rest feed backprop."""
     acts = [np.asarray(x, dtype=np.float64)]
     for weight, bias in params.layers:
         acts.append(np.tanh(acts[-1] @ weight + bias))
@@ -161,39 +167,6 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 def _sign(values: np.ndarray) -> np.ndarray:
     return np.where(values >= 0, 1.0, -1.0)
-
-
-def sim_loss(f_i: np.ndarray, f_j: np.ndarray, s_ij: int) -> float:
-    """Cross-entropy on the inner product: softplus(<f_i, f_j>) - s * <f_i, f_j>."""
-    f_i = np.asarray(f_i, dtype=np.float64).reshape(-1)
-    f_j = np.asarray(f_j, dtype=np.float64).reshape(-1)
-    if f_i.shape != f_j.shape:
-        raise DimMismatch(f"rows have dims {f_i.shape[0]} and {f_j.shape[0]}")
-    z = float(f_i @ f_j)
-    return float(_softplus(z) - s_ij * z)
-
-
-def hash_loss(f: np.ndarray) -> float:
-    """Squared distance from the row to its own sign pattern."""
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    diff = f - _sign(f)
-    return float(diff @ diff)
-
-
-def balance_loss(f: np.ndarray) -> float:
-    """Squared component sum; zero when +1s and -1s are used evenly."""
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    return float(f.sum() ** 2)
-
-
-def quant_loss_term(f: np.ndarray, model: QuantizerModel, indices) -> float:
-    """Squared reconstruction residual for one row under fixed indicators."""
-    f = np.asarray(f, dtype=np.float64).reshape(-1)
-    if f.shape[0] != model.dim:
-        raise DimMismatch(f"row has dim {f.shape[0]}, model has dim {model.dim}")
-    approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
-    diff = f - approx
-    return float(diff @ diff)
 
 
 def _batch_terms(

@@ -10,7 +10,7 @@ import pytest
 from hashquant.cli import main
 from hashquant.config import echo_lines, load_run_config, parse_config_text
 from hashquant.errors import ConfigError
-from hashquant.evaluate import AlphaSweepPoint, NSweepPoint
+from hashquant.evaluate import NSweepPoint
 from hashquant.trainer import LossWeights, TrainConfig
 
 
@@ -140,10 +140,11 @@ def test_train_rejects_bad_settings_before_echoing(workspace, tmp_path, setting)
     assert out == ""
 
 
-# one value per key that the trainer rejects; seed is the only key with no check
+# at least one value per key that the trainer rejects
 REJECTED_SETTINGS = [
-    "epochs=-1", "batch_size=0", "learning_rate=0.0", "depth=3", "lambda_sim=-1.0", "lambda_h=-1.0",
-    "lambda_b=-1.0", "lambda_q=-1.0", "m=0", "k=0", "k=65537", "alternations=-1",
+    "epochs=-1", "batch_size=0", "learning_rate=0.0", "seed=-1", "depth=3", "lambda_sim=-1.0",
+    "lambda_h=-1.0", "lambda_h=nan", "lambda_b=-1.0", "lambda_q=-1.0", "m=0", "k=0", "k=65537",
+    "alternations=-1",
 ]
 
 
@@ -162,7 +163,7 @@ def test_rejected_settings_cover_every_checked_key():
     from hashquant.config import _KEYS
 
     covered = {setting.split("=")[0] for setting in REJECTED_SETTINGS}
-    assert covered == {key for key, _, _ in _KEYS} - {"seed"}
+    assert covered == {key for key, _, _ in _KEYS}
 
 
 def test_repeated_set_key_is_a_config_error(workspace, tmp_path):
@@ -401,8 +402,7 @@ def test_bench_alpha_csv_layout(workspace, tmp_path):
     )
     assert code == 0, err
     lines = [line for line in out_csv.read_text().splitlines() if not line.startswith("#")]
-    point_columns = [field.name for field in fields(AlphaSweepPoint)]
-    assert lines[0].split(",") == point_columns + ["hq_ops", "hq_memory_bits"]
+    assert lines[0] == "alpha,candidates,map_i2t,map_t2i,mean_query_seconds,hq_ops,hq_memory_bits"
     rows = list(csv.DictReader(lines))
     assert [row["alpha"] for row in rows] == ["0.0", "0.25", "1.0"]  # str(float)
     check_sweep_cells(rows)

@@ -79,6 +79,11 @@ class TestAveragePrecision:
         if relevant and set(list(ranking)[:top]) <= relevant:
             assert value == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [0, 2.5, np.float64(3.0), "3"])
+    def test_cutoff_must_be_a_positive_integer(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            average_precision_at([0, 1, 2], [1], cutoff=cutoff)
+
 
 def small_tasks(seed=0):
     features_a, features_b, labels = synth_dataset(4, 10, 16, 0.2, seed=seed)
@@ -109,6 +114,21 @@ class TestMapAt:
             task_i2t.queries, nothing, mode="lossless", database_features=features_b.values, cutoff=20
         )
         assert value == 0.0
+
+    def test_lossless_database_may_be_a_feature_matrix(self):
+        task_i2t, _, _, features_b = small_tasks()
+        as_array, as_matrix = (
+            ranked_results(task_i2t.queries, mode="lossless", database_features=database, top_k=20)
+            for database in (features_b.values, features_b)
+        )
+        for by_array, by_matrix in zip(as_array, as_matrix):
+            assert np.array_equal(by_array.indices, by_matrix.indices)
+            assert np.array_equal(by_array.scores, by_matrix.scores)
+        by_array, by_matrix = (
+            map_at(task_i2t.queries, task_i2t.relevant_sets, mode="lossless", database_features=database, cutoff=20)
+            for database in (features_b.values, features_b)
+        )
+        assert by_array == by_matrix
 
     def test_tiny_instance_matches_direct_computation(self):
         task_i2t, _, _, _ = small_tasks(seed=3)

@@ -16,11 +16,11 @@ from hashquant import (
     generate_pairs,
     load_features,
     load_labels,
-    pair_labels,
     save_features,
     save_labels,
     synth_dataset,
 )
+from reference import pair_labels
 
 
 def test_feature_round_trip_example(tmp_path):

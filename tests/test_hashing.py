@@ -17,9 +17,9 @@ from hashquant import (
     hamming_top_candidates,
     hash_only_query,
     sign_encode,
-    unpack_signs,
 )
 from hashquant.hashing import MAX_CODE_DIM
+from reference import unpack_signs
 
 
 def encode_rows(rows):

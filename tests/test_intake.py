@@ -12,7 +12,7 @@ import pytest
 
 from hashquant.errors import IndexOutOfRange
 from hashquant.evaluate import average_precision_at
-from hashquant.features import FeatureMatrix, LabelSet, PairBatch, pair_labels
+from hashquant.features import FeatureMatrix, LabelSet, PairBatch
 from hashquant.hashing import PackedCodes, hamming_distance, sign_encode
 from hashquant.quantizer import (
     IndicatorSet,
@@ -24,7 +24,8 @@ from hashquant.quantizer import (
     reconstruct,
 )
 from hashquant.retrieval import RankedResult
-from hashquant.trainer import EncoderParams, quant_loss_term
+from hashquant.trainer import EncoderParams
+from reference import pair_labels, quant_loss_term
 
 RNG = np.random.default_rng(7)
 
@@ -91,7 +92,9 @@ BAD_INDICES = {
 NO_UPPER = ("float", "bool", "negative")
 
 # each entry point takes two indices, and the bad kinds that apply to it: every
-# upper bound here is 4, and a boolean `relevant` is a mask, not indices
+# upper bound here is 4, and a boolean `relevant` is a mask, not indices.
+# pair_labels and quant_loss_term are the test-local references, which check
+# their indices through features.one_index and quantizer.reconstruct
 INDEX_ENTRY_POINTS = {
     "IndicatorSet": (lambda v: IndicatorSet(book_size=4, indices=np.array([v])), tuple(BAD_INDICES)),
     "PairBatch": (lambda v: PairBatch(index_a=v, index_b=[0, 1], similar=[1, 0]), NO_UPPER),

@@ -32,7 +32,7 @@ from hashquant import (
 )
 from hashquant import quantizer
 from hashquant.quantizer import MAX_BOOK_SIZE
-from hashquant.trainer import quant_loss_term
+from reference import quant_loss_term
 
 
 @pytest.mark.parametrize("bad", ["-1", "k"])

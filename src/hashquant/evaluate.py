@@ -301,6 +301,15 @@ def sweep_alpha(
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         budget = max(1, round(alpha * n_items)) if alpha else 0
         mode = "two_stage" if budget else "hash_only"
+        cost = CostModel(
+            count=n_items,
+            dim=index.dim,
+            num_books=index.quantizer.num_books,
+            book_size=index.quantizer.book_size,
+            candidates=budget,
+        )
+        # counted before the queries run, so a book size the accounting rejects fails at once
+        hq_ops, hq_memory_bits = op_count(cost, "hq"), memory_footprint(cost, "hq")
 
         maps = [
             map_at(
@@ -314,13 +323,6 @@ def sweep_alpha(
                 ranked_results(task.queries, mode=mode, index=task.index, top_k=cutoff, candidates=budget)
 
         seconds = _median_seconds([run_queries], repeats)[0] / total_queries
-        cost = CostModel(
-            count=n_items,
-            dim=index.dim,
-            num_books=index.quantizer.num_books,
-            book_size=index.quantizer.book_size,
-            candidates=budget,
-        )
         points.append(
             AlphaSweepPoint(
                 alpha=float(alpha),
@@ -328,8 +330,8 @@ def sweep_alpha(
                 map_i2t=maps[0],
                 map_t2i=maps[1],
                 mean_query_seconds=seconds,
-                hq_ops=op_count(cost, "hq"),
-                hq_memory_bits=memory_footprint(cost, "hq"),
+                hq_ops=hq_ops,
+                hq_memory_bits=hq_memory_bits,
             )
         )
     return points

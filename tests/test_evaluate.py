@@ -23,6 +23,7 @@ from hashquant import (
     sweep_n,
     synth_dataset,
 )
+from hashquant import evaluate
 
 
 def literal_ap(ranking, relevant, cutoff):
@@ -85,10 +86,10 @@ class TestAveragePrecision:
             average_precision_at([0, 1, 2], [1], cutoff=cutoff)
 
 
-def small_tasks(seed=0):
+def small_tasks(seed=0, book_size=4):
     features_a, features_b, labels = synth_dataset(4, 10, 16, 0.2, seed=seed)
     fit = learn_quantizer(
-        features_a.values, features_b.values, num_books=2, book_size=4, alternations=4, seed=seed
+        features_a.values, features_b.values, num_books=2, book_size=book_size, alternations=4, seed=seed
     )
     index_a = build_index(features_a.values, fit.model, fit.indicators_a, "a")
     index_b = build_index(features_b.values, fit.model, fit.indicators_b, "b")
@@ -256,6 +257,12 @@ class TestSweepAlpha:
         task_i2t, task_t2i, _, _ = small_tasks(seed=5)
         with pytest.raises(ValueError):
             sweep_alpha(task_i2t, task_t2i, [1.5], cutoff=10)
+
+    def test_book_size_the_cost_model_rejects_fails_before_any_query(self, monkeypatch):
+        task_i2t, task_t2i, _, _ = small_tasks(seed=5, book_size=3)
+        monkeypatch.setattr(evaluate, "ranked_results", None)  # a query would raise TypeError
+        with pytest.raises(KNotPowerOfTwo):
+            sweep_alpha(task_i2t, task_t2i, [0.5], cutoff=10)
 
 
 class TestEqualMemoryBudget:

@@ -10,8 +10,11 @@ quantization-only configuration as the feature dimension grows.
 
 from __future__ import annotations
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +35,11 @@ VARIANTS = ("lossless", "binary_hash", "quantization", "hq")
 # the two-stage side of the n sweep: m books of k columns
 HQ_BOOKS = 4
 HQ_BOOK_SIZE = 256
+# ranked_results runs query slices on threads from this database size up.  The
+# large-index work (Hamming scan, per-book take, partition select) is numpy that
+# releases the GIL; below about 2^16 items a query is mostly GIL-held Python
+# overhead, and two threads measured up to 44% slower than one loop.
+PARALLEL_MIN_ITEMS = 65536
 
 
 def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
@@ -107,28 +115,56 @@ def ranked_results(
     top_k: int = 50,
     candidates: int = 100,
 ) -> list[RankedResult]:
-    """Run one retrieval mode over every query row."""
+    """Run one retrieval mode over every query row.
+
+    Each row goes through its mode's single-query function, so the results
+    are those of a per-row loop.  When the database holds at least
+    PARALLEL_MIN_ITEMS items, contiguous slices of the rows run on a thread
+    pool of up to the usable CPUs, opened and closed within the call.
+    """
     queries = np.atleast_2d(np.asarray(query_features, dtype=np.float64))
     if mode == "lossless":
         if database_features is None:
             raise ValueError("lossless mode needs database_features")
-        n_items = feature_values(database_features).shape[0]
-        top_k = min(top_k, n_items)
-        return [lossless_query(q, database_features, top_k) for q in queries]
+        # one float64 copy of the database for all queries, not one per query
+        database = np.asarray(feature_values(database_features), dtype=np.float64)
+        n_items = database.shape[0]
+        run = partial(lossless_query, database_features=database, top_k=min(top_k, n_items))
+        return _each_row(run, queries, n_items)
     if index is None:
         raise ValueError(f"{mode} mode needs an index")
     n_items = index.count
     if mode == "two_stage":
         budget = min(candidates, n_items)
-        depth = min(top_k, budget)
-        return [two_stage_query(q, index, candidates=budget, top_k=depth) for q in queries]
-    if mode == "full_aqd":
-        depth = min(top_k, n_items)
-        return [full_aqd_query(q, index, top_k=depth) for q in queries]
-    if mode == "hash_only":
-        depth = min(top_k, n_items)
-        return [hash_only_query(q, index, top_k=depth) for q in queries]
-    raise ValueError(f"unknown mode {mode!r}")
+        run = partial(two_stage_query, index=index, candidates=budget, top_k=min(top_k, budget))
+    elif mode == "full_aqd":
+        run = partial(full_aqd_query, index=index, top_k=min(top_k, n_items))
+    elif mode == "hash_only":
+        run = partial(hash_only_query, index=index, top_k=min(top_k, n_items))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _each_row(run, queries, n_items)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_row(run, queries: np.ndarray, n_items: int) -> list[RankedResult]:
+    """[run(q) for q in queries], on one contiguous slice of rows per thread at >= PARALLEL_MIN_ITEMS items."""
+    workers = min(_usable_cpus(), queries.shape[0]) if n_items >= PARALLEL_MIN_ITEMS else 1
+    if workers < 2:
+        return [run(q) for q in queries]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        slices = [
+            pool.submit(lambda rows: [run(q) for q in rows], rows)
+            for rows in np.array_split(queries, workers)
+        ]
+        # read in slice order: the first failing slice raises, as the first failing row does in one loop
+        return [result for part in slices for result in part.result()]
 
 
 def harmonic_mean(a: float, b: float) -> float:

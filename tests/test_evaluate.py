@@ -6,22 +6,32 @@ from hypothesis import strategies as st
 from hashquant import (
     CostModel,
     EvalReport,
+    FeatureMatrix,
+    IndicatorSet,
     InfeasibleBudget,
     KNotPowerOfTwo,
+    NonFiniteValue,
+    QuantizerModel,
+    RetrievalIndex,
     RetrievalTask,
     average_precision_at,
     build_index,
     equal_memory_quantizer,
     evaluate_tasks,
+    full_aqd_query,
     harmonic_mean,
+    hash_only_query,
     learn_quantizer,
+    lossless_query,
     map_at,
     memory_footprint,
     op_count,
     ranked_results,
+    sign_encode,
     sweep_alpha,
     sweep_n,
     synth_dataset,
+    two_stage_query,
 )
 from hashquant import evaluate
 
@@ -122,9 +132,12 @@ class TestMapAt:
             ranked_results(task_i2t.queries, mode="lossless", database_features=database, top_k=20)
             for database in (features_b.values, features_b)
         )
-        for by_array, by_matrix in zip(as_array, as_matrix):
+        per_row = [lossless_query(q, features_b, top_k=20) for q in task_i2t.queries]
+        for by_array, by_matrix, by_row in zip(as_array, as_matrix, per_row):
             assert np.array_equal(by_array.indices, by_matrix.indices)
             assert np.array_equal(by_array.scores, by_matrix.scores)
+            assert np.array_equal(by_matrix.indices, by_row.indices)
+            assert np.array_equal(by_matrix.scores, by_row.scores)
         by_array, by_matrix = (
             map_at(task_i2t.queries, task_i2t.relevant_sets, mode="lossless", database_features=database, cutoff=20)
             for database in (features_b.values, features_b)
@@ -141,6 +154,129 @@ class TestMapAt:
             [literal_ap(r.indices, np.flatnonzero(rel), 50) for r, rel in zip(rankings, relevant)]
         )
         assert got == pytest.approx(float(expected), abs=1e-12)
+
+
+POOL_DIM, POOL_BOOKS, POOL_BOOK_SIZE = 8, 2, 4
+POOL_CPUS = 3  # 7 query rows split into slices of 3, 2 and 2
+POOL_TOP_K, POOL_CANDIDATES = 50, 100
+
+
+def dense_tie_setup(count, seed=6):  # a seed whose 7 queries get 7 different answers in every mode
+    """A cheap `count`-item index and its float32 database, every row one of 4 fixed rows.
+
+    Four sign patterns give four Hamming codes, and m = 2 books of k = 4
+    give 16 distinct scores, so nearly every item ties with thousands of
+    others and only the index tie-break orders them.
+    """
+    rng = np.random.default_rng(seed)
+    patterns = rng.standard_normal((4, POOL_DIM))
+    database = FeatureMatrix(patterns[rng.integers(0, 4, size=count)])
+    index = RetrievalIndex(
+        codes=sign_encode(database),
+        quantizer=QuantizerModel(codebooks=rng.standard_normal((POOL_BOOKS, POOL_DIM, POOL_BOOK_SIZE))),
+        indicators=IndicatorSet(
+            book_size=POOL_BOOK_SIZE,
+            indices=rng.integers(0, POOL_BOOK_SIZE, size=(count, POOL_BOOKS)),
+        ),
+    )
+    return index, database, rng.standard_normal((7, POOL_DIM))
+
+
+@pytest.fixture(scope="module")
+def at_gate():
+    return dense_tie_setup(evaluate.PARALLEL_MIN_ITEMS)
+
+
+POOL_MODES = {
+    "two_stage": lambda q, index, database: two_stage_query(
+        q, index, candidates=POOL_CANDIDATES, top_k=POOL_TOP_K
+    ),
+    "full_aqd": lambda q, index, database: full_aqd_query(q, index, top_k=POOL_TOP_K),
+    "hash_only": lambda q, index, database: hash_only_query(q, index, top_k=POOL_TOP_K),
+    "lossless": lambda q, index, database: lossless_query(q, database, top_k=POOL_TOP_K),
+}
+
+
+def pooled_ranked_results(queries, mode, index, database):
+    return ranked_results(
+        queries, mode=mode, index=index, database_features=database,
+        top_k=POOL_TOP_K, candidates=POOL_CANDIDATES,
+    )
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """The max_workers of every thread pool ranked_results opens, with POOL_CPUS usable CPUs."""
+    usable_cpus(monkeypatch, POOL_CPUS)
+    opened = []
+
+    class Recording(evaluate.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
+    return opened
+
+
+class TestPooledRankedResults:
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_pooled_results_equal_the_per_query_functions(self, mode, at_gate, pools_opened):
+        index, database, queries = at_gate
+        expected = [POOL_MODES[mode](q, index, database) for q in queries]
+        # every row's answer differs, so rows returned out of order cannot match
+        assert len({(r.indices.tobytes(), r.scores.tobytes()) for r in expected}) == len(expected)
+        got = pooled_ranked_results(queries, mode, index, database)
+        assert pools_opened == [POOL_CPUS]
+        assert len(got) == len(expected)
+        for by_pool, by_row in zip(got, expected):
+            assert np.array_equal(by_pool.indices, by_row.indices)
+            assert np.array_equal(by_pool.scores, by_row.scores)
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_non_finite_row_in_a_later_slice_raises_as_the_serial_loop(self, mode, at_gate, pools_opened):
+        index, database, queries = at_gate
+        queries = queries.copy()
+        queries[3] = np.nan  # first row of the second slice
+        queries[6] = 0.0  # the last slice: lossless raises ZeroNormVector here
+        with pytest.raises(NonFiniteValue) as serial:
+            for q in queries:
+                POOL_MODES[mode](q, index, database)
+        with pytest.raises(NonFiniteValue) as pooled:
+            pooled_ranked_results(queries, mode, index, database)
+        assert pools_opened == [POOL_CPUS]
+        assert str(pooled.value) == str(serial.value)
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    @pytest.mark.parametrize(
+        "count, cpus, rows",
+        [(evaluate.PARALLEL_MIN_ITEMS - 1, POOL_CPUS, 7), (evaluate.PARALLEL_MIN_ITEMS, 1, 7),
+         (evaluate.PARALLEL_MIN_ITEMS, POOL_CPUS, 1)],
+        ids=["below_the_gate", "one_usable_cpu", "one_query_row"],
+    )
+    def test_no_pool_without_two_workers_at_the_gate(self, mode, count, cpus, rows, at_gate, monkeypatch):
+        index, database, queries = at_gate if count == evaluate.PARALLEL_MIN_ITEMS else dense_tie_setup(count)
+        queries = queries[:rows]
+        usable_cpus(monkeypatch, cpus)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("ranked_results opened a thread pool")
+
+        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_pool)
+        got = pooled_ranked_results(queries, mode, index, database)
+        expected = [POOL_MODES[mode](q, index, database) for q in queries]
+        assert [r.indices.tolist() for r in got] == [r.indices.tolist() for r in expected]
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 5)
+        assert evaluate._usable_cpus() == 5
+        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: None)
+        assert evaluate._usable_cpus() == 1
 
 
 class TestHarmonicMean:

@@ -324,8 +324,10 @@ def sweep_alpha(
     alpha = 0 ranks with hash codes only; alpha > 0 runs the two-stage query
     with max(1, round(alpha * N)) candidates, so alpha = 1 matches the
     quantization-only ranking.  Times are medians over >= 5 repetitions of
-    the full query set, divided by the query count.  The op and memory
-    columns count task_i2t's index at each point's candidate budget.
+    the full query set through ranked_results, divided by the query count:
+    mean_query_seconds is batched wall time per query, so from
+    PARALLEL_MIN_ITEMS items up it reflects every usable core.  The op and
+    memory columns count task_i2t's index at each point's candidate budget.
     """
     points = []
     tasks = (task_i2t, task_t2i)

@@ -223,6 +223,13 @@ def pools_opened(monkeypatch):
     return opened
 
 
+def assert_same_rankings(got, expected):
+    assert len(got) == len(expected)
+    for by_batch, by_row in zip(got, expected):
+        assert np.array_equal(by_batch.indices, by_row.indices)
+        assert np.array_equal(by_batch.scores, by_row.scores)
+
+
 class TestPooledRankedResults:
     @pytest.mark.parametrize("mode", POOL_MODES)
     def test_pooled_results_equal_the_per_query_functions(self, mode, at_gate, pools_opened):
@@ -232,10 +239,7 @@ class TestPooledRankedResults:
         assert len({(r.indices.tobytes(), r.scores.tobytes()) for r in expected}) == len(expected)
         got = pooled_ranked_results(queries, mode, index, database)
         assert pools_opened == [POOL_CPUS]
-        assert len(got) == len(expected)
-        for by_pool, by_row in zip(got, expected):
-            assert np.array_equal(by_pool.indices, by_row.indices)
-            assert np.array_equal(by_pool.scores, by_row.scores)
+        assert_same_rankings(got, expected)
 
     @pytest.mark.parametrize("mode", POOL_MODES)
     def test_non_finite_row_in_a_later_slice_raises_as_the_serial_loop(self, mode, at_gate, pools_opened):
@@ -268,8 +272,7 @@ class TestPooledRankedResults:
 
         monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_pool)
         got = pooled_ranked_results(queries, mode, index, database)
-        expected = [POOL_MODES[mode](q, index, database) for q in queries]
-        assert [r.indices.tolist() for r in got] == [r.indices.tolist() for r in expected]
+        assert_same_rankings(got, [POOL_MODES[mode](q, index, database) for q in queries])
 
     def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)

@@ -16,6 +16,8 @@ def test_two_runs_of_the_cli_pipeline_give_one_manifest(tmp_path, capsys):
         for name in ("model.hqm", "index_b.hqx", "query_two_stage.csv", "eval_lossless.csv", "bench_n.csv"):
             assert f"{case}/{name}" in first
         assert f"{case}/stdout/train" in first
+    for name in ("index_b.hqx", "query_two_stage.csv", "query_aqd.csv", "query_hash.csv", "query_lossless.csv"):
+        assert f"dim16_pooled/{name}" in first
 
     paths = []
     for name, manifest in (("a", first), ("b", {**second, "dim16/model.hqm": "0" * 64})):

@@ -8,10 +8,14 @@ this script sits in, with BLAS pinned to one thread.  For each case (dim 16
 over 6 x 40 items and dim 130 over 4 x 30 items, m = 2, k = 8) it runs
 synth -> train -> build, `query` in two_stage, aqd and hash mode with
 candidates = N plus lossless, `eval` in all four modes, and `bench` with
-`--sweep alpha` and `--sweep n`.  The manifest holds one sha256 per output
-file and per command's stdout.  Timing columns are dropped from CSVs before
-hashing, and every path is relative to the run directory, so two runs of
-the same code in different directories give the same manifest.
+`--sweep alpha` and `--sweep n`.  A last case, `dim16_pooled`, synthesises
+a 4 x 16384 = 65536-item database, builds it with the dim-16 model and runs
+the dim-16 queries against it in the four `query` modes (100 candidates):
+at that size `ranked_results` runs query slices on a thread pool when more
+than one CPU is usable.  The manifest holds one sha256 per output file and
+per command's stdout.  Timing columns are dropped from CSVs before hashing,
+and every path is relative to the run directory, so two runs of the same
+code in different directories give the same manifest.
 """
 
 from __future__ import annotations
@@ -29,28 +33,43 @@ from pathlib import Path
 TIMING_COLUMNS = frozenset({"mean_query_seconds", "hq_seconds", "quant_seconds", "ratio"})
 # (name, dim, clusters, items per cluster)
 CASES = (("dim16", 16, 6, 40), ("dim130", 130, 4, 30))
+# 4 x 16384 = 65536 items: evaluate.PARALLEL_MIN_ITEMS, where batched queries go to threads
+POOLED_CASE = ("dim16_pooled", 16, 4, 16384)
+POOLED_FROM = "../dim16/"  # the case whose model and queries the pooled case reuses
+
+
+def _synth_and_build(dim: int, clusters: int, per_cluster: int, model: str) -> list[tuple[str, list[str]]]:
+    """Synthesise the case's data and index its modality b with `model`."""
+    return [
+        ("synth", ["synth", "--clusters", str(clusters), "--per-cluster", str(per_cluster),
+                   "--dim", str(dim), "--seed", "7", "--out-a", "a.dfm", "--out-b", "b.dfm",
+                   "--out-labels", "labels.lbl"]),
+        ("build", ["build", "--features", "b.dfm", "--model", model, "--modality", "b",
+                   "--out", "index_b.hqx"]),
+    ]
+
+
+def _queries(queries: str, model: str, candidates: str) -> list[tuple[str, list[str]]]:
+    """`query` in the four modes against the case's index_b.hqx and b.dfm."""
+    steps = [
+        (f"query_{mode}", ["query", "--queries", queries, "--model", model, "--index", "index_b.hqx",
+                           "--mode", mode, "--candidates", candidates, "--topk", "20",
+                           "--out", f"query_{mode}.csv"])
+        for mode in ("two_stage", "aqd", "hash")
+    ]
+    steps.append(("query_lossless", ["query", "--queries", queries, "--model", model,
+                                     "--database", "b.dfm", "--mode", "lossless", "--topk", "20",
+                                     "--out", "query_lossless.csv"]))
+    return steps
 
 
 def _commands(dim: int, clusters: int, per_cluster: int) -> list[tuple[str, list[str]]]:
     """(label, argv) of each step of one case, run from the case's directory."""
-    count = str(clusters * per_cluster)
     data = ["--features-a", "a.dfm", "--features-b", "b.dfm", "--labels", "labels.lbl"]
-    steps = [
-        ("synth", ["synth", "--clusters", str(clusters), "--per-cluster", str(per_cluster),
-                   "--dim", str(dim), "--seed", "7", "--out-a", "a.dfm", "--out-b", "b.dfm",
-                   "--out-labels", "labels.lbl"]),
-        ("train", ["train", *data, "--set", "m=2", "--set", "k=8", "--set", "epochs=2",
-                   "--set", "seed=3", "--out-model", "model.hqm"]),
-        ("build", ["build", "--features", "b.dfm", "--model", "model.hqm", "--modality", "b",
-                   "--out", "index_b.hqx"]),
-    ]
-    for mode in ("two_stage", "aqd", "hash"):
-        steps.append((f"query_{mode}", ["query", "--queries", "a.dfm", "--model", "model.hqm",
-                                        "--index", "index_b.hqx", "--mode", mode, "--candidates", count,
-                                        "--topk", "20", "--out", f"query_{mode}.csv"]))
-    steps.append(("query_lossless", ["query", "--queries", "a.dfm", "--model", "model.hqm",
-                                     "--database", "b.dfm", "--mode", "lossless", "--topk", "20",
-                                     "--out", "query_lossless.csv"]))
+    synth, build = _synth_and_build(dim, clusters, per_cluster, "model.hqm")
+    train = ("train", ["train", *data, "--set", "m=2", "--set", "k=8", "--set", "epochs=2",
+                       "--set", "seed=3", "--out-model", "model.hqm"])
+    steps = [synth, train, build, *_queries("a.dfm", "model.hqm", str(clusters * per_cluster))]
     for mode in ("two_stage", "full_aqd", "hash_only", "lossless"):
         steps.append((f"eval_{mode}", ["eval", *data, "--model", "model.hqm", "--mode", mode,
                                        "--candidates", "50", "--r", "20", "--out-csv", f"eval_{mode}.csv"]))
@@ -81,6 +100,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _cases() -> list[tuple[str, list[tuple[str, list[str]]]]]:
+    """(directory, steps) of every case in run order; the pooled case runs last."""
+    cases = [(name, _commands(dim, clusters, per_cluster)) for name, dim, clusters, per_cluster in CASES]
+    name, dim, clusters, per_cluster = POOLED_CASE
+    model = POOLED_FROM + "model.hqm"
+    steps = _synth_and_build(dim, clusters, per_cluster, model) + _queries(POOLED_FROM + "a.dfm", model, "100")
+    return cases + [(name, steps)]
+
+
 def run_pipeline(out_dir) -> dict[str, str]:
     """Run every case under `out_dir`; return {entry: sha256} in run order."""
     from hashquant.cli import main
@@ -88,12 +116,12 @@ def run_pipeline(out_dir) -> dict[str, str]:
     out_dir = Path(out_dir)
     manifest = {}
     home = Path.cwd()
-    for name, dim, clusters, per_cluster in CASES:
+    for name, steps in _cases():
         case_dir = out_dir / name
         case_dir.mkdir(parents=True, exist_ok=True)
         os.chdir(case_dir)
         try:
-            for label, argv in _commands(dim, clusters, per_cluster):
+            for label, argv in steps:
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = main(argv)

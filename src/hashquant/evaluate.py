@@ -36,9 +36,11 @@ VARIANTS = ("lossless", "binary_hash", "quantization", "hq")
 HQ_BOOKS = 4
 HQ_BOOK_SIZE = 256
 # ranked_results runs query slices on threads from this database size up.  The
-# large-index work (Hamming scan, per-book take, partition select) is numpy that
-# releases the GIL; below about 2^16 items a query is mostly GIL-held Python
-# overhead, and two threads measured up to 44% slower than one loop.
+# large-index work (Hamming scan, per-book take, partition select, lossless's
+# BLAS product) is numpy that releases the GIL; below about 2^16 items a query
+# is mostly GIL-held Python overhead, and two threads measured up to 44% slower
+# than one loop.  At and above it every mode measured break-even or better,
+# lossless also with default BLAS threading (README § Concurrency).
 PARALLEL_MIN_ITEMS = 65536
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from .config import echo_lines, load_run_config
 from .errors import ConfigError, HashQuantError
 from .evaluate import (
+    MODES,
     AlphaSweepPoint,
     NSweepPoint,
     RetrievalTask,
@@ -146,16 +147,8 @@ def cmd_query(args) -> int:
         if args.index is None:
             raise HashQuantError(f"--mode {args.mode} needs --index")
         index = load_index(args.index)
-    mode = {"two_stage": "two_stage", "aqd": "full_aqd", "hash": "hash_only", "lossless": "lossless"}[
-        args.mode
-    ]
     rankings = ranked_results(
-        queries,
-        mode=mode,
-        index=index,
-        database_features=database,
-        top_k=args.topk,
-        candidates=args.candidates,
+        queries, mode=args.mode, index=index, database_features=database, top_k=args.topk, candidates=args.candidates
     )
     rows = [
         (query_id, rank + 1, int(item), float(score))
@@ -174,27 +167,19 @@ def _eval_tasks(args):
     encoded_a, index_a = _encode_and_index(model, features_a, "a")
     encoded_b, index_b = _encode_and_index(model, features_b, "b")
     relevance = _relevance(labels, labels)
-    task_i2t = RetrievalTask(queries=encoded_a, index=index_b, relevant_sets=tuple(relevance))
-    task_t2i = RetrievalTask(queries=encoded_b, index=index_a, relevant_sets=tuple(relevance.T))
-    return task_i2t, task_t2i, encoded_a, encoded_b
+    task_i2t = RetrievalTask(encoded_a, index_b, tuple(relevance), database=encoded_b)
+    task_t2i = RetrievalTask(encoded_b, index_a, tuple(relevance.T), database=encoded_a)
+    return task_i2t, task_t2i
 
 
 def cmd_eval(args) -> int:
-    task_i2t, task_t2i, encoded_a, encoded_b = _eval_tasks(args)
+    task_i2t, task_t2i = _eval_tasks(args)
     echo = _model_echo(task_i2t.index) + [
         f"mode={args.mode}",
         f"candidates={args.candidates}",
         f"cutoff={args.r}",
     ]
-    report = evaluate_tasks(
-        task_i2t,
-        task_t2i,
-        mode=args.mode,
-        cutoff=args.r,
-        candidates=args.candidates,
-        database_i2t=encoded_b,
-        database_t2i=encoded_a,
-    )
+    report = evaluate_tasks(task_i2t, task_t2i, mode=args.mode, cutoff=args.r, candidates=args.candidates)
     rows = [
         (direction, query_id, ap)
         for direction, per_query in (("i2t", report.per_query_i2t), ("t2i", report.per_query_t2i))
@@ -232,7 +217,7 @@ def cmd_bench(args) -> int:
         missing = ["--" + name.replace("_", "-") for name in needed if getattr(args, name) is None]
         if missing:
             raise HashQuantError(f"--sweep alpha needs {', '.join(missing)}")
-        task_i2t, task_t2i, _, _ = _eval_tasks(args)
+        task_i2t, task_t2i = _eval_tasks(args)
         alphas = [float(a) for a in args.alphas.split(",")]
         points = sweep_alpha(task_i2t, task_t2i, alphas, cutoff=args.r, repeats=args.repeats)
         preamble = _model_echo(task_i2t.index) + [f"cutoff={args.r}", f"repeats={args.repeats}"]
@@ -290,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modality", choices=("a", "b"), default="a")
     p.add_argument("--database", default=None, help="feature file for --mode lossless")
     p.add_argument("--database-modality", choices=("a", "b"), default="b")
-    p.add_argument("--mode", choices=("two_stage", "aqd", "hash", "lossless"), default="two_stage")
+    p.add_argument("--mode", choices=MODES, default="two_stage")
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--topk", type=int, default=10)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
@@ -301,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features-b", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--mode", choices=("two_stage", "full_aqd", "hash_only", "lossless"), default="two_stage")
+    p.add_argument("--mode", choices=MODES, default="two_stage")
     p.add_argument("--candidates", type=int, default=100)
     p.add_argument("--r", type=int, default=50)
     p.add_argument("--out-csv", default=None)

@@ -18,20 +18,22 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InfeasibleBudget, KNotPowerOfTwo
-from .features import feature_values, index_array
+from .errors import CountMismatch, InfeasibleBudget, KNotPowerOfTwo
+from .features import index_array
 from .hashing import sign_encode
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
     RankedResult,
     RetrievalIndex,
+    _cosine_database,
+    _cosine_ranking,
     full_aqd_query,
     hash_only_query,
-    lossless_query,
     two_stage_query,
 )
 
 VARIANTS = ("lossless", "binary_hash", "quantization", "hq")
+MODES = ("two_stage", "full_aqd", "hash_only", "lossless")  # ranked_results' modes, the CLI's too
 # the two-stage side of the n sweep: m books of k columns
 HQ_BOOKS = 4
 HQ_BOOK_SIZE = 256
@@ -120,18 +122,19 @@ def ranked_results(
     """Run one retrieval mode over every query row.
 
     Each row goes through its mode's single-query function, so the results
-    are those of a per-row loop.  When the database holds at least
-    PARALLEL_MIN_ITEMS items, contiguous slices of the rows run on a thread
-    pool of up to the usable CPUs, opened and closed within the call.
+    are those of a per-row loop; lossless mode prepares its database once,
+    so a zero-norm row fails before any query row is checked.  When the
+    database holds at least PARALLEL_MIN_ITEMS items, contiguous slices of
+    the rows run on a thread pool of up to the usable CPUs, opened and
+    closed within the call.
     """
     queries = np.atleast_2d(np.asarray(query_features, dtype=np.float64))
     if mode == "lossless":
         if database_features is None:
             raise ValueError("lossless mode needs database_features")
-        # one float64 copy of the database for all queries, not one per query
-        database = np.asarray(feature_values(database_features), dtype=np.float64)
+        database, norms = _cosine_database(database_features)
         n_items = database.shape[0]
-        run = partial(lossless_query, database_features=database, top_k=min(top_k, n_items))
+        run = partial(_cosine_ranking, database=database, norms=norms, top_k=min(top_k, n_items))
         return _each_row(run, queries, n_items)
     if index is None:
         raise ValueError(f"{mode} mode needs an index")
@@ -201,16 +204,14 @@ def evaluate_tasks(
     mode: str = "two_stage",
     cutoff: int = 50,
     candidates: int = 100,
-    database_i2t: np.ndarray | None = None,
-    database_t2i: np.ndarray | None = None,
 ) -> EvalReport:
     """Per-query AP in both directions, rolled up into one report."""
     per_query = [
         _per_query_ap(
             task.queries, task.relevant_sets, cutoff,
-            mode=mode, index=task.index, database_features=database, candidates=candidates,
+            mode=mode, index=task.index, database_features=task.database, candidates=candidates,
         )
-        for task, database in ((task_i2t, database_i2t), (task_t2i, database_t2i))
+        for task in (task_i2t, task_t2i)
     ]
     return EvalReport(
         map_i2t=float(np.mean(per_query[0])),
@@ -283,6 +284,7 @@ class RetrievalTask:
     queries: np.ndarray
     index: RetrievalIndex
     relevant_sets: tuple
+    database: np.ndarray | None = None  # the indexed items' features, which lossless mode ranks against
 
 
 @dataclass(frozen=True)
@@ -325,16 +327,21 @@ def sweep_alpha(
 
     alpha = 0 ranks with hash codes only; alpha > 0 runs the two-stage query
     with max(1, round(alpha * N)) candidates, so alpha = 1 matches the
-    quantization-only ranking.  Times are medians over >= 5 repetitions of
-    the full query set through ranked_results, divided by the query count:
-    mean_query_seconds is batched wall time per query, so from
-    PARALLEL_MIN_ITEMS items up it reflects every usable core.  The op and
-    memory columns count task_i2t's index at each point's candidate budget.
+    quantization-only ranking.  One budget serves both directions, so the two
+    indexes must hold the same number of items (else CountMismatch).  Each
+    point's MAPs are evaluate_tasks' at that mode and budget.  Times are
+    medians over >= 5 repetitions of the full query set through
+    ranked_results, divided by the query count: mean_query_seconds is
+    batched wall time per query, so from PARALLEL_MIN_ITEMS items up it
+    reflects every usable core.  The op and memory columns count task_i2t's
+    index at each point's candidate budget.
     """
     points = []
     tasks = (task_i2t, task_t2i)
     index = task_i2t.index
     n_items = index.count
+    if task_t2i.index.count != n_items:
+        raise CountMismatch(f"i2t index holds {n_items} items but t2i index {task_t2i.index.count}")
     total_queries = len(task_i2t.queries) + len(task_t2i.queries)
     for alpha in alphas:
         if not 0.0 <= alpha <= 1.0:
@@ -351,12 +358,7 @@ def sweep_alpha(
         # counted before the queries run, so a book size the accounting rejects fails at once
         hq_ops, hq_memory_bits = op_count(cost, "hq"), memory_footprint(cost, "hq")
 
-        maps = [
-            map_at(
-                task.queries, task.relevant_sets, mode=mode, index=task.index, cutoff=cutoff, candidates=budget
-            )
-            for task in tasks
-        ]
+        report = evaluate_tasks(task_i2t, task_t2i, mode=mode, cutoff=cutoff, candidates=budget)
 
         def run_queries():
             for task in tasks:
@@ -367,8 +369,8 @@ def sweep_alpha(
             AlphaSweepPoint(
                 alpha=float(alpha),
                 candidates=budget,
-                map_i2t=maps[0],
-                map_t2i=maps[1],
+                map_i2t=report.map_i2t,
+                map_t2i=report.map_t2i,
                 mean_query_seconds=seconds,
                 hq_ops=hq_ops,
                 hq_memory_bits=hq_memory_bits,

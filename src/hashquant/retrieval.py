@@ -171,15 +171,25 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
 
 def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedResult:
     """Cosine similarity against uncompressed features; the accuracy ceiling."""
+    return _cosine_ranking(query_feature, *_cosine_database(database_features), top_k)
+
+
+def _cosine_database(database_features) -> tuple[np.ndarray, np.ndarray]:
+    """The float64 database and its row norms: the query-independent half of a lossless query."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)
+    norms = np.linalg.norm(database, axis=1)
+    if (norms == 0).any():
+        raise ZeroNormVector(f"database row {int(np.flatnonzero(norms == 0)[0])} has zero norm")
+    return database, norms
+
+
+def _cosine_ranking(query_feature, database: np.ndarray, norms: np.ndarray, top_k: int) -> RankedResult:
+    """The top_k rows of a _cosine_database by cosine similarity to the query."""
     row = _finite_query_row(query_feature, database.shape[1])
     check_count("top_k", top_k, database.shape[0])
     query_norm = np.linalg.norm(row)
     if query_norm == 0:
         raise ZeroNormVector("query vector has zero norm")
-    norms = np.linalg.norm(database, axis=1)
-    if (norms == 0).any():
-        raise ZeroNormVector(f"database row {int(np.flatnonzero(norms == 0)[0])} has zero norm")
     scores = (database @ row) / (norms * query_norm)
     chosen = nearest_first(-scores, top_k)
     return RankedResult(indices=chosen, scores=scores[chosen])

@@ -184,7 +184,7 @@ def test_index_file_with_an_indicator_past_k_names_the_index_error(workspace, tm
     bad.write_bytes(bytes(data))
     code, _, err = run_cli(
         "query", "--queries", workspace["a"], "--index", str(bad),
-        "--model", workspace["model"], "--modality", "a", "--mode", "aqd",
+        "--model", workspace["model"], "--modality", "a", "--mode", "full_aqd",
     )
     assert code == 1
     assert err.startswith("error: IndexOutOfRange:")
@@ -252,8 +252,16 @@ def test_query_full_candidates_matches_aqd_mode(workspace, tmp_path):
     two_stage = tmp_path / "two_stage.csv"
     aqd = tmp_path / "aqd.csv"
     assert run_cli(*common, "--mode", "two_stage", "--candidates", "100", "--out", str(two_stage))[0] == 0
-    assert run_cli(*common, "--mode", "aqd", "--out", str(aqd))[0] == 0
+    assert run_cli(*common, "--mode", "full_aqd", "--out", str(aqd))[0] == 0
     assert two_stage.read_text() == aqd.read_text()
+
+
+@pytest.mark.parametrize("mode", ["aqd", "hash"])
+def test_query_takes_only_the_library_mode_names(workspace, mode, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["query", "--queries", workspace["a"], "--index", workspace["index_b"], "--mode", mode])
+    assert exited.value.code != 0
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_query_lossless_needs_database(workspace):

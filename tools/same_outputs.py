@@ -6,8 +6,8 @@
 A run calls `hashquant.cli.main` in-process, from the `src/` of the checkout
 this script sits in, with BLAS pinned to one thread.  For each case (dim 16
 over 6 x 40 items and dim 130 over 4 x 30 items, m = 2, k = 8) it runs
-synth -> train -> build, `query` in two_stage, aqd and hash mode with
-candidates = N plus lossless, `eval` in all four modes, and `bench` with
+synth -> train -> build, `query` in two_stage, full_aqd and hash_only mode
+with candidates = N plus lossless, `eval` in all four modes, and `bench` with
 `--sweep alpha` and `--sweep n`.  A last case, `dim16_pooled`, synthesises
 a 4 x 16384 = 65536-item database, builds it with the dim-16 model and runs
 the dim-16 queries against it in the four `query` modes (100 candidates):
@@ -50,12 +50,16 @@ def _synth_and_build(dim: int, clusters: int, per_cluster: int, model: str) -> l
 
 
 def _queries(queries: str, model: str, candidates: str) -> list[tuple[str, list[str]]]:
-    """`query` in the four modes against the case's index_b.hqx and b.dfm."""
+    """`query` in the four modes against the case's index_b.hqx and b.dfm.
+
+    Entries keep the names of the CLI's former `aqd` and `hash` modes, so a
+    manifest compares entry by entry with one written before the rename.
+    """
     steps = [
-        (f"query_{mode}", ["query", "--queries", queries, "--model", model, "--index", "index_b.hqx",
+        (f"query_{name}", ["query", "--queries", queries, "--model", model, "--index", "index_b.hqx",
                            "--mode", mode, "--candidates", candidates, "--topk", "20",
-                           "--out", f"query_{mode}.csv"])
-        for mode in ("two_stage", "aqd", "hash")
+                           "--out", f"query_{name}.csv"])
+        for name, mode in (("two_stage", "two_stage"), ("aqd", "full_aqd"), ("hash", "hash_only"))
     ]
     steps.append(("query_lossless", ["query", "--queries", queries, "--model", model,
                                      "--database", "b.dfm", "--mode", "lossless", "--topk", "20",

@@ -148,7 +148,8 @@ def cmd_query(args) -> int:
             raise HashQuantError(f"--mode {args.mode} needs --index")
         index = load_index(args.index)
     rankings = ranked_results(
-        queries, mode=args.mode, index=index, database_features=database, top_k=args.topk, candidates=args.candidates
+        queries, mode=args.mode, index=index, database_features=database,
+        top_k=args.topk, candidates=args.candidates,
     )
     rows = [
         (query_id, rank + 1, int(item), float(score))
@@ -167,8 +168,8 @@ def _eval_tasks(args):
     encoded_a, index_a = _encode_and_index(model, features_a, "a")
     encoded_b, index_b = _encode_and_index(model, features_b, "b")
     relevance = _relevance(labels, labels)
-    task_i2t = RetrievalTask(encoded_a, index_b, tuple(relevance), database=encoded_b)
-    task_t2i = RetrievalTask(encoded_b, index_a, tuple(relevance.T), database=encoded_a)
+    task_i2t = RetrievalTask(queries=encoded_a, index=index_b, relevant_sets=tuple(relevance), database=encoded_b)
+    task_t2i = RetrievalTask(queries=encoded_b, index=index_a, relevant_sets=tuple(relevance.T), database=encoded_a)
     return task_i2t, task_t2i
 
 

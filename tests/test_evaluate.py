@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from hashquant import (
     CostModel,
+    CountMismatch,
     EvalReport,
     FeatureMatrix,
     IndicatorSet,
@@ -14,6 +17,7 @@ from hashquant import (
     QuantizerModel,
     RetrievalIndex,
     RetrievalTask,
+    ZeroNormVector,
     average_precision_at,
     build_index,
     equal_memory_quantizer,
@@ -255,6 +259,20 @@ class TestPooledRankedResults:
         assert pools_opened == [POOL_CPUS]
         assert str(pooled.value) == str(serial.value)
 
+    @pytest.mark.parametrize("cpus", [1, POOL_CPUS], ids=["serial", "pooled"])
+    def test_zero_norm_database_row_fails_before_any_query_row(self, cpus, at_gate, monkeypatch):
+        index, database, queries = at_gate
+        values = database.values.copy()
+        values[40_000] = 0.0
+        queries = queries.copy()
+        queries[0] = np.nan  # the per-row check would raise NonFiniteValue, were a row checked first
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(ZeroNormVector) as direct:
+            lossless_query(queries[1], values, top_k=POOL_TOP_K)
+        with pytest.raises(ZeroNormVector) as batched:
+            pooled_ranked_results(queries, "lossless", index, values)
+        assert str(batched.value) == str(direct.value) == "database row 40000 has zero norm"
+
     @pytest.mark.parametrize("mode", POOL_MODES)
     @pytest.mark.parametrize(
         "count, cpus, rows",
@@ -371,6 +389,28 @@ class TestEvaluateTasks:
             harmonic_mean(report.map_i2t, report.map_t2i), abs=1e-12
         )
 
+    def test_lossless_ranks_against_each_tasks_database(self):
+        task_i2t, task_t2i, features_a, features_b = small_tasks(seed=9)
+        # rows out of label order, so ranking t2i against the i2t database gives another MAP
+        shuffled_a = features_a.values[np.random.default_rng(0).permutation(40)]
+        report = evaluate_tasks(
+            replace(task_i2t, database=features_b),
+            replace(task_t2i, database=shuffled_a),
+            mode="lossless",
+            cutoff=20,
+        )
+        directions = ((task_i2t, features_b, report.map_i2t), (task_t2i, shuffled_a, report.map_t2i))
+        for task, database, got in directions:
+            assert got == map_at(
+                task.queries, task.relevant_sets, mode="lossless", database_features=database, cutoff=20
+            )
+        assert report.map_t2i < report.map_i2t
+
+    def test_lossless_task_without_database_raises(self):
+        task_i2t, task_t2i, _, features_b = small_tasks(seed=9)
+        with pytest.raises(ValueError, match="lossless mode needs database_features"):
+            evaluate_tasks(replace(task_i2t, database=features_b), task_t2i, mode="lossless", cutoff=20)
+
     def test_harmonic_is_always_derived(self):
         report = EvalReport(
             map_i2t=0.5, map_t2i=1.0, per_query_i2t=(0.5,), per_query_t2i=(1.0,), harmonic=0.123,
@@ -396,6 +436,20 @@ class TestSweepAlpha:
         task_i2t, task_t2i, _, _ = small_tasks(seed=5)
         with pytest.raises(ValueError):
             sweep_alpha(task_i2t, task_t2i, [1.5], cutoff=10)
+
+    @pytest.mark.parametrize("smaller", [0, 1], ids=["i2t", "t2i"])
+    def test_indexes_of_different_sizes_raise_count_mismatch(self, smaller, monkeypatch):
+        tasks = list(small_tasks(seed=5)[:2])
+        index = tasks[smaller].index
+        first_30 = RetrievalIndex(
+            codes=sign_encode(np.ones((30, index.dim))),
+            quantizer=index.quantizer,
+            indicators=IndicatorSet(book_size=index.quantizer.book_size, indices=index.indicators.indices[:30]),
+        )
+        tasks[smaller] = replace(tasks[smaller], index=first_30)
+        monkeypatch.setattr(evaluate, "ranked_results", None)  # a query would raise TypeError
+        with pytest.raises(CountMismatch, match="index holds (30|40) items but t2i index (40|30)"):
+            sweep_alpha(*tasks, [1.0], cutoff=10)
 
     def test_book_size_the_cost_model_rejects_fails_before_any_query(self, monkeypatch):
         task_i2t, task_t2i, _, _ = small_tasks(seed=5, book_size=3)

@@ -10,9 +10,7 @@ quantization-only configuration as the feature dimension grows.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,6 +19,7 @@ import numpy as np
 from .errors import CountMismatch, InfeasibleBudget, KNotPowerOfTwo
 from .features import index_array
 from .hashing import sign_encode
+from .pool import _row_slices, _usable_cpus
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
     RankedResult,
@@ -151,25 +150,11 @@ def ranked_results(
     return _each_row(run, queries, n_items)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _each_row(run, queries: np.ndarray, n_items: int) -> list[RankedResult]:
     """[run(q) for q in queries], on one contiguous slice of rows per thread at >= PARALLEL_MIN_ITEMS items."""
     workers = min(_usable_cpus(), queries.shape[0]) if n_items >= PARALLEL_MIN_ITEMS else 1
-    if workers < 2:
-        return [run(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        slices = [
-            pool.submit(lambda rows: [run(q) for q in rows], rows)
-            for rows in np.array_split(queries, workers)
-        ]
-        # read in slice order: the first failing slice raises, as the first failing row does in one loop
-        return [result for part in slices for result in part.result()]
+    parts = _row_slices(lambda lo, hi: [run(q) for q in queries[lo:hi]], queries.shape[0], workers)
+    return [result for part in parts for result in part]
 
 
 def harmonic_mean(a: float, b: float) -> float:

@@ -142,6 +142,15 @@ class PairBatch:
     def __len__(self) -> int:
         return self.index_a.shape[0]
 
+    def _subset(self, positions: np.ndarray) -> PairBatch:
+        """The pairs at integer `positions`, taken without re-checking: every pair of a checked batch is valid."""
+        batch = object.__new__(PairBatch)
+        for name in ("index_a", "index_b", "similar"):
+            part = getattr(self, name)[positions]
+            part.setflags(write=False)
+            object.__setattr__(batch, name, part)
+        return batch
+
 
 def save_features(matrix: FeatureMatrix, path) -> None:
     """Write a feature matrix in the DFM1 layout (header + float32 LE payload)."""

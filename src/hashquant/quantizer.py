@@ -17,6 +17,7 @@ import scipy.linalg
 
 from .errors import CountMismatch, DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
 from .features import feature_values, frozen_copy, index_array
+from .pool import _mac_workers, _row_slices
 
 MAX_BOOK_SIZE = 65536
 _RIDGE = 1e-8
@@ -121,17 +122,25 @@ def _nearest_columns(targets: np.ndarray, book: np.ndarray, norms: np.ndarray) -
     return _column_scores(targets, book, norms).argmin(axis=1)
 
 
-def _sweep_rows(active: np.ndarray, n_items: int, dim: int, book_size: int) -> np.ndarray:
-    """The sorted `active` rows, padded with low rows up to the fewest an exact product needs.
+def _exact_rows(dim: int, book_size: int) -> int:
+    """Fewest rows whose product with one (dim, book_size) book rounds like a larger product's rows.
 
     A row of `targets[rows] @ book` rounds like the same row of the full
     product only when BLAS runs the same kernel for both: numpy sends one row
     to gemv, and OpenBLAS sends products of at most 100**3 multiply-adds to a
     small-matrix kernel, which sums dot products longer than 384 in another
-    order.  2**20 multiply-adds clears that cut-off.  Rows outside `active`
-    are at a fixed point, so sweeping them again leaves them unchanged.
+    order.  2**20 multiply-adds clears that cut-off.
     """
-    floor = min(n_items, max(2, -(-(1 << 20) // (dim * book_size))))
+    return max(2, -(-(1 << 20) // (dim * book_size)))
+
+
+def _sweep_rows(active: np.ndarray, n_items: int, dim: int, book_size: int) -> np.ndarray:
+    """The sorted `active` rows, padded with low rows up to the fewest an exact product needs.
+
+    Rows outside `active` are at a fixed point, so sweeping them again leaves
+    them unchanged.
+    """
+    floor = min(n_items, _exact_rows(dim, book_size))
     if active.size >= floor:
         return active
     return np.union1d(active, np.arange(floor))
@@ -184,7 +193,9 @@ def assign_indicators(
     sweep assigns greedily (earlier books only), which counts toward
     max_rounds; sweeping stops early once no index changes.  Rows are
     independent, so after the first full sweep each sweep revisits only the
-    rows whose indices moved in the previous one, with the same result.
+    rows whose indices moved in the previous one, with the same result, and
+    a call whose contiguous row slices each keep pool.MIN_SLICE_MACS
+    multiply-adds runs them on a thread pool of up to the usable CPUs.
     """
     values = _as_float_matrix(features)
     n_items, dim = values.shape
@@ -193,9 +204,7 @@ def assign_indicators(
     if not np.isfinite(values).all():
         raise NonFiniteValue("features contain non-finite values")
     num_books = model.num_books
-    # book-major rows turn each gather into row copies (per call; reconstruct runs per minibatch)
-    rows = model.codebooks.transpose(0, 2, 1).copy()
-    norms = [(book * book).sum(axis=0) for book in model.codebooks]
+    prev_indices = None
     if prev is not None:
         if (prev.num_books, prev.book_size) != (num_books, model.book_size):
             raise DimMismatch(
@@ -206,7 +215,35 @@ def assign_indicators(
             raise CountMismatch(
                 f"previous indicators are {prev.count}x{prev.num_books}, expected {n_items}x{num_books}"
             )
-        indices = prev.indices.astype(np.int64)
+        prev_indices = prev.indices
+    # book-major rows turn each gather into row copies (per call; reconstruct runs per minibatch)
+    rows = model.codebooks.transpose(0, 2, 1).copy()
+    norms = [(book * book).sum(axis=0) for book in model.codebooks]
+
+    def assign(lo: int, hi: int) -> np.ndarray:
+        part_prev = None if prev_indices is None else prev_indices[lo:hi]
+        return _assign_rows(values[lo:hi], model, rows, norms, part_prev, max_rounds)
+
+    # every slice keeps a product above the small-matrix cut-off (_sweep_rows)
+    workers = _mac_workers(n_items, dim * model.book_size * num_books, _exact_rows(dim, model.book_size))
+    parts = _row_slices(assign, n_items, workers)
+    indices = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return IndicatorSet(book_size=model.book_size, indices=indices)
+
+
+def _assign_rows(
+    values: np.ndarray,
+    model: QuantizerModel,
+    rows: np.ndarray,
+    norms: list[np.ndarray],
+    prev_indices: np.ndarray | None,
+    max_rounds: int,
+) -> np.ndarray:
+    """assign_indicators' coordinate descent over `values`, given book-major `rows` and column `norms`."""
+    n_items, dim = values.shape
+    num_books = model.num_books
+    if prev_indices is not None:
+        indices = prev_indices.astype(np.int64)
         approx = rows[0][indices[:, 0]]
         for book in range(1, num_books):
             approx += rows[book][indices[:, book]]
@@ -246,7 +283,7 @@ def assign_indicators(
             active = sweep[moved]
         if not active.size:
             break
-    return IndicatorSet(book_size=model.book_size, indices=indices)
+    return indices
 
 
 def _one_hot_stats(

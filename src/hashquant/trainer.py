@@ -22,6 +22,7 @@ import scipy.special
 from .binfile import read_file, write_file
 from .errors import DimMismatch, NonFiniteValue
 from .features import PairBatch, feature_values, frozen_copy
+from .pool import _mac_workers, _row_slices
 from .quantizer import (
     MAX_BOOK_SIZE,
     IndicatorSet,
@@ -132,11 +133,19 @@ def init_encoder(dim: int, depth: int, seed: int, modality: str = "") -> Encoder
 
 
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
-    """tanh(W x + c) per layer; accepts one row or a batch of rows."""
+    """tanh(W x + c) per layer; accepts one row or a batch of rows.
+
+    A batch whose contiguous row slices each keep pool.MIN_SLICE_MACS
+    multiply-adds runs them on a thread pool of up to the usable CPUs.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.input_dim:
         raise DimMismatch(f"input has dim {x.shape[-1]}, encoder expects {params.input_dim}")
-    return _forward_cached(params, x)[-1]
+    if x.ndim != 2:
+        return _forward_cached(params, x)[-1]
+    workers = _mac_workers(x.shape[0], sum(weight.size for weight, _ in params.layers))
+    parts = _row_slices(lambda lo, hi: _forward_cached(params, x[lo:hi])[-1], x.shape[0], workers)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _forward_cached(params: EncoderParams, x: np.ndarray) -> list[np.ndarray]:
@@ -336,8 +345,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n_pairs)
         for start in range(0, n_pairs, config.batch_size):
-            chosen = order[start : start + config.batch_size]
-            minibatch = PairBatch(pairs.index_a[chosen], pairs.index_b[chosen], pairs.similar[chosen])
+            minibatch = pairs._subset(order[start : start + config.batch_size])
             grads_a, grads_b = loss_gradients(
                 minibatch, values_a, values_b, encoder_a, encoder_b, weights,
                 quantizer, indicators_a, indicators_b,

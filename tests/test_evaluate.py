@@ -37,7 +37,7 @@ from hashquant import (
     synth_dataset,
     two_stage_query,
 )
-from hashquant import evaluate
+from hashquant import evaluate, pool
 
 
 def literal_ap(ranking, relevant, cutoff):
@@ -209,7 +209,7 @@ def pooled_ranked_results(queries, mode, index, database):
 
 
 def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.fixture
@@ -218,12 +218,12 @@ def pools_opened(monkeypatch):
     usable_cpus(monkeypatch, POOL_CPUS)
     opened = []
 
-    class Recording(evaluate.ThreadPoolExecutor):
+    class Recording(pool.ThreadPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(evaluate, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(pool, "ThreadPoolExecutor", Recording)
     return opened
 
 
@@ -288,16 +288,16 @@ class TestPooledRankedResults:
         def no_pool(*args, **kwargs):
             raise AssertionError("ranked_results opened a thread pool")
 
-        monkeypatch.setattr(evaluate, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
         got = pooled_ranked_results(queries, mode, index, database)
         assert_same_rankings(got, [POOL_MODES[mode](q, index, database) for q in queries])
 
     def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
-        monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 5)
-        assert evaluate._usable_cpus() == 5
-        monkeypatch.setattr(evaluate.os, "cpu_count", lambda: None)
-        assert evaluate._usable_cpus() == 1
+        monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 5)
+        assert pool._usable_cpus() == 5
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
+        assert pool._usable_cpus() == 1
 
 
 class TestHarmonicMean:

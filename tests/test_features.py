@@ -167,6 +167,19 @@ def test_pair_batch_keeps_private_copies():
     assert not any(arr.flags.writeable for arr in (batch.index_a, batch.index_b, batch.similar))
 
 
+def test_pair_batch_subset_equals_the_checked_batch_of_those_rows():
+    batch = PairBatch(index_a=[0, 1, 2, 3], index_b=[3, 2, 1, 0], similar=[1, 0, 0, 1])
+    positions = np.array([2, 0, 3])
+    subset = batch._subset(positions)
+    checked = PairBatch(batch.index_a[positions], batch.index_b[positions], batch.similar[positions])
+    assert isinstance(subset, PairBatch) and len(subset) == 3
+    for got, expected in zip(
+        (subset.index_a, subset.index_b, subset.similar), (checked.index_a, checked.index_b, checked.similar)
+    ):
+        assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        assert not got.flags.writeable
+
+
 def test_pair_labels_examples():
     a = LabelSet(num_labels=3, masks=np.array([0b011, 0b001, 0b011], dtype=np.uint64))
     b = LabelSet(num_labels=3, masks=np.array([0b010, 0b110, 0b011], dtype=np.uint64))

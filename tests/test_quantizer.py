@@ -249,6 +249,70 @@ def test_sweep_row_products_round_like_the_full_product(dim, book_size):
         assert quantizer._column_scores(targets[rows], book, norms).tobytes() == full[rows].tobytes()
 
 
+def pool_case(count, dim=512, num_books=4, book_size=256, seed=23):
+    """A model, rows near its codewords, and perturbed previous indicators for a warm call."""
+    rng = np.random.default_rng(seed)
+    model = QuantizerModel(codebooks=rng.standard_normal((num_books, dim, book_size)))
+    truth = rng.integers(0, book_size, size=(count, num_books))
+    values = reconstruct(model, truth) + rng.standard_normal((count, dim)) * rng.choice([0.3, 10.0], size=(count, 1))
+    moved = rng.random(count) < 0.3
+    truth[moved] = rng.integers(0, book_size, size=(int(moved.sum()), num_books))
+    return model, values, IndicatorSet(book_size=book_size, indices=truth)
+
+
+class TestPooledAssign:
+    # 601 rows split 201 / 200 / 200 over 3 threads; above dim 384 a product
+    # small enough for OpenBLAS's small-matrix kernel would round differently
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_pooled_equals_serial(self, warm, forced_pool, set_usable_cpus):
+        model, values, prev = pool_case(601)
+        prev = prev if warm else None
+        pooled = assign_indicators(values, model, prev)
+        assert forced_pool == [3]
+        set_usable_cpus(1)
+        serial = assign_indicators(values, model, prev)
+        assert forced_pool == [3]
+        assert pooled.indices.tobytes() == serial.indices.tobytes()
+        if warm:
+            assert (serial.indices != prev.indices).any()
+
+    @pytest.mark.parametrize(
+        "count, cpus, pools",
+        [(2047, 2, []), (2048, 1, []), (2048, 2, [2])],
+        ids=["below_the_gate", "one_usable_cpu", "at_the_gate"],
+    )
+    def test_a_pool_opens_only_at_the_gate_with_two_cpus(self, count, cpus, pools, set_usable_cpus, opened_pools):
+        # one book of 256 columns at dim 512: 2^27 multiply-adds are 1024 rows per slice
+        model, values, _ = pool_case(count, num_books=1)
+        set_usable_cpus(cpus)
+        assign_indicators(values, model)
+        assert opened_pools == pools
+
+    def test_every_slice_keeps_a_product_above_the_small_matrix_cut_off(self, forced_pool, set_usable_cpus):
+        # at dim 512 and k = 8, 2^20 multiply-adds per book are 256 rows: 601 rows make 2 slices, not 3
+        model, values, prev = pool_case(601, num_books=1, book_size=8)
+        pooled = assign_indicators(values, model, prev)
+        assert forced_pool == [2]
+        set_usable_cpus(1)
+        assert pooled.indices.tobytes() == assign_indicators(values, model, prev).indices.tobytes()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_one_call_enters_the_public_name_once(self, warm, forced_pool, monkeypatch):
+        # an outside wrapper on the module attribute, as a tracer installs it, sees one call
+        model, values, prev = pool_case(601)
+        entered = []
+        original = quantizer.assign_indicators
+
+        def counting(*args, **kwargs):
+            entered.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quantizer, "assign_indicators", counting)
+        quantizer.assign_indicators(values, model, prev if warm else None)
+        assert forced_pool == [3]
+        assert len(entered) == 1
+
+
 def test_one_hot_stats_match_the_add_at_reference(rng):
     count, dim, num_books, book_size = 300, 5, 3, 16
     # magnitudes over 16 decades, so a different summation order changes the bits

@@ -18,6 +18,8 @@ def test_two_runs_of_the_cli_pipeline_give_one_manifest(tmp_path, capsys):
         assert f"{case}/stdout/train" in first
     for name in ("index_b.hqx", "query_two_stage.csv", "query_aqd.csv", "query_hash.csv", "query_lossless.csv"):
         assert f"dim16_pooled/{name}" in first
+    for name in ("model.hqm", "index_b.hqx", "stdout/train", "stdout/build"):
+        assert f"dim512_build/{name}" in first
 
     paths = []
     for name, manifest in (("a", first), ("b", {**second, "dim16/model.hqm": "0" * 64})):

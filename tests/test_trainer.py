@@ -26,6 +26,7 @@ from hashquant import (
     total_loss,
     train,
 )
+from hashquant import trainer
 from hashquant.quantizer import MAX_BOOK_SIZE, QuantizerModel
 from reference import balance_loss, hash_loss, quant_loss_term, sim_loss
 
@@ -87,6 +88,49 @@ class TestForward:
         params = init_encoder(6, 2, seed=0)
         out = encoder_forward(params, rng.standard_normal((50, 6)) * 100)
         assert (np.abs(out) < 1.0).all()
+
+
+class TestPooledForward:
+    # 601 rows split 201 / 200 / 200 over 3 threads
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_pooled_equals_serial(self, depth, forced_pool, set_usable_cpus):
+        params = init_encoder(512, depth, seed=4)
+        x = np.random.default_rng(depth).standard_normal((601, 512))
+        pooled = encoder_forward(params, x)
+        assert forced_pool == [3]
+        set_usable_cpus(1)
+        assert pooled.tobytes() == encoder_forward(params, x).tobytes()
+        assert forced_pool == [3]
+
+    @pytest.mark.parametrize(
+        "count, cpus, pools",
+        [(1023, 2, []), (1024, 1, []), (1024, 2, [2])],
+        ids=["below_the_gate", "one_usable_cpu", "at_the_gate"],
+    )
+    def test_a_pool_opens_only_at_the_gate_with_two_cpus(self, count, cpus, pools, set_usable_cpus, opened_pools):
+        # one 512 x 512 layer: 2^27 multiply-adds are 512 rows per slice
+        params = init_encoder(512, 1, seed=4)
+        set_usable_cpus(cpus)
+        encoder_forward(params, np.ones((count, 512)))
+        assert opened_pools == pools
+
+    def test_one_row_runs_on_the_calling_thread(self, forced_pool):
+        encoder_forward(init_encoder(8, 2, seed=4), np.ones(8))
+        assert forced_pool == []
+
+    def test_one_call_enters_the_public_name_once(self, forced_pool, monkeypatch):
+        # an outside wrapper on the module attribute, as a tracer installs it, sees one call
+        entered = []
+        original = trainer.encoder_forward
+
+        def counting(*args, **kwargs):
+            entered.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "encoder_forward", counting)
+        trainer.encoder_forward(init_encoder(16, 2, seed=4), np.ones((30, 16)))
+        assert forced_pool == [3]
+        assert len(entered) == 1
 
 
 class TestLossTerms:
@@ -277,6 +321,25 @@ class TestTrain:
                 assert b1.tobytes() == b2.tobytes()
         assert one.quantizer.codebooks.tobytes() == two.quantizer.codebooks.tobytes()
         assert one.losses == two.losses
+
+    def test_pooled_build_calls_leave_training_bitwise_identical(self, forced_pool, set_usable_cpus):
+        # 300 rows per modality at dim 64 and k = 256: every encode and assignment call runs 3 slices
+        features_a, features_b, pairs = self.make_inputs(seed=8, clusters=3, per_cluster=100, dim=64)
+        config = TrainConfig(epochs=2, batch_size=64, num_books=2, book_size=256, seed=8)
+        pooled = train(features_a, features_b, pairs, config, LossWeights())
+        assert forced_pool and set(forced_pool) == {3}
+        calls = len(forced_pool)
+        set_usable_cpus(1)
+        serial = train(features_a, features_b, pairs, config, LossWeights())
+        assert len(forced_pool) == calls
+        for enc_pooled, enc_serial in ((pooled.encoder_a, serial.encoder_a), (pooled.encoder_b, serial.encoder_b)):
+            for (w1, b1), (w2, b2) in zip(enc_pooled.layers, enc_serial.layers):
+                assert w1.tobytes() == w2.tobytes()
+                assert b1.tobytes() == b2.tobytes()
+        assert pooled.quantizer.codebooks.tobytes() == serial.quantizer.codebooks.tobytes()
+        assert pooled.indicators_a.indices.tobytes() == serial.indicators_a.indices.tobytes()
+        assert pooled.indicators_b.indices.tobytes() == serial.indicators_b.indices.tobytes()
+        assert pooled.losses == serial.losses
 
     def test_diverged_step_raises_non_finite_naming_the_epoch(self):
         features_a, features_b, pairs = self.make_inputs(seed=3)

@@ -12,7 +12,11 @@ with candidates = N plus lossless, `eval` in all four modes, and `bench` with
 a 4 x 16384 = 65536-item database, builds it with the dim-16 model and runs
 the dim-16 queries against it in the four `query` modes (100 candidates):
 at that size `ranked_results` runs query slices on a thread pool when more
-than one CPU is usable.  The manifest holds one sha256 per output file and
+than one CPU is usable.  A case `dim512_build` runs synth -> train -> build
+over a 4 x 300 = 1200-item dim-512 database with m = 4, k = 256: with two
+or more usable CPUs `encoder_forward` and `assign_indicators` run row slices
+on a thread pool there, at the dimension where a product's BLAS kernel
+decides how its dot products round.  The manifest holds one sha256 per output file and
 per command's stdout.  Timing columns are dropped from CSVs before hashing,
 and every path is relative to the run directory, so two runs of the same
 code in different directories give the same manifest.
@@ -36,6 +40,10 @@ CASES = (("dim16", 16, 6, 40), ("dim130", 130, 4, 30))
 # 4 x 16384 = 65536 items: evaluate.PARALLEL_MIN_ITEMS, where batched queries go to threads
 POOLED_CASE = ("dim16_pooled", 16, 4, 16384)
 POOLED_FROM = "../dim16/"  # the case whose model and queries the pooled case reuses
+# 1200 items at dim 512, m = 4, k = 256: two slices of 600 rows each keep
+# pool.MIN_SLICE_MACS (2^27 multiply-adds), which takes 256 rows to assign and 512 to encode
+BUILD_CASE = ("dim512_build", 512, 4, 300)
+DATA = ["--features-a", "a.dfm", "--features-b", "b.dfm", "--labels", "labels.lbl"]
 
 
 def _synth_and_build(dim: int, clusters: int, per_cluster: int, model: str) -> list[tuple[str, list[str]]]:
@@ -67,17 +75,20 @@ def _queries(queries: str, model: str, candidates: str) -> list[tuple[str, list[
     return steps
 
 
+def _train(num_books: int, book_size: int) -> tuple[str, list[str]]:
+    """Two seeded epochs on the case's data, written to model.hqm."""
+    return ("train", ["train", *DATA, "--set", f"m={num_books}", "--set", f"k={book_size}",
+                      "--set", "epochs=2", "--set", "seed=3", "--out-model", "model.hqm"])
+
+
 def _commands(dim: int, clusters: int, per_cluster: int) -> list[tuple[str, list[str]]]:
     """(label, argv) of each step of one case, run from the case's directory."""
-    data = ["--features-a", "a.dfm", "--features-b", "b.dfm", "--labels", "labels.lbl"]
     synth, build = _synth_and_build(dim, clusters, per_cluster, "model.hqm")
-    train = ("train", ["train", *data, "--set", "m=2", "--set", "k=8", "--set", "epochs=2",
-                       "--set", "seed=3", "--out-model", "model.hqm"])
-    steps = [synth, train, build, *_queries("a.dfm", "model.hqm", str(clusters * per_cluster))]
+    steps = [synth, _train(2, 8), build, *_queries("a.dfm", "model.hqm", str(clusters * per_cluster))]
     for mode in ("two_stage", "full_aqd", "hash_only", "lossless"):
-        steps.append((f"eval_{mode}", ["eval", *data, "--model", "model.hqm", "--mode", mode,
+        steps.append((f"eval_{mode}", ["eval", *DATA, "--model", "model.hqm", "--mode", mode,
                                        "--candidates", "50", "--r", "20", "--out-csv", f"eval_{mode}.csv"]))
-    steps.append(("bench_alpha", ["bench", "--sweep", "alpha", *data, "--model", "model.hqm",
+    steps.append(("bench_alpha", ["bench", "--sweep", "alpha", *DATA, "--model", "model.hqm",
                                   "--alphas", "0,0.05,1.0", "--r", "20", "--repeats", "1",
                                   "--out", "bench_alpha.csv"]))
     steps.append(("bench_n", ["bench", "--sweep", "n", "--dims", "16,32", "--count", "2000",
@@ -105,12 +116,14 @@ def _digest(data: bytes) -> str:
 
 
 def _cases() -> list[tuple[str, list[tuple[str, list[str]]]]]:
-    """(directory, steps) of every case in run order; the pooled case runs last."""
+    """(directory, steps) of every case in run order; the pooled cases run last."""
     cases = [(name, _commands(dim, clusters, per_cluster)) for name, dim, clusters, per_cluster in CASES]
     name, dim, clusters, per_cluster = POOLED_CASE
     model = POOLED_FROM + "model.hqm"
     steps = _synth_and_build(dim, clusters, per_cluster, model) + _queries(POOLED_FROM + "a.dfm", model, "100")
-    return cases + [(name, steps)]
+    build_name, dim, clusters, per_cluster = BUILD_CASE
+    synth, build = _synth_and_build(dim, clusters, per_cluster, "model.hqm")
+    return cases + [(name, steps), (build_name, [synth, _train(4, 256), build])]
 
 
 def run_pipeline(out_dir) -> dict[str, str]:

@@ -204,7 +204,6 @@ def assign_indicators(
     if not np.isfinite(values).all():
         raise NonFiniteValue("features contain non-finite values")
     num_books = model.num_books
-    prev_indices = None
     if prev is not None:
         if (prev.num_books, prev.book_size) != (num_books, model.book_size):
             raise DimMismatch(
@@ -215,13 +214,12 @@ def assign_indicators(
             raise CountMismatch(
                 f"previous indicators are {prev.count}x{prev.num_books}, expected {n_items}x{num_books}"
             )
-        prev_indices = prev.indices
     # book-major rows turn each gather into row copies (per call; reconstruct runs per minibatch)
     rows = model.codebooks.transpose(0, 2, 1).copy()
     norms = [(book * book).sum(axis=0) for book in model.codebooks]
 
     def assign(lo: int, hi: int) -> np.ndarray:
-        part_prev = None if prev_indices is None else prev_indices[lo:hi]
+        part_prev = None if prev is None else prev.indices[lo:hi]
         return _assign_rows(values[lo:hi], model, rows, norms, part_prev, max_rounds)
 
     # every slice keeps a product above the small-matrix cut-off (_sweep_rows)

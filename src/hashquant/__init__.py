@@ -33,7 +33,6 @@ from .features import (
 )
 from .hashing import (
     PackedCodes,
-    hamming_distance,
     hamming_distances,
     hamming_top_candidates,
     sign_encode,
@@ -43,14 +42,12 @@ from .quantizer import (
     LookupTable,
     QuantizerFit,
     QuantizerModel,
-    aqd,
     aqd_scores,
     assign_indicators,
     build_lookup_table,
     init_codebooks,
     learn_quantizer,
     quantization_objective,
-    quantization_residual_norm,
     reconstruct,
     update_codebooks,
 )

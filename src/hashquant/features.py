@@ -57,10 +57,25 @@ def feature_values(features) -> np.ndarray:
 
 
 def frozen_copy(array, dtype, order="C") -> np.ndarray:
-    """A private read-only copy of `array`; every value type stores only what this returns."""
+    """A private read-only copy of `array`; every value type's constructor stores only what this returns."""
     copy = np.array(array, dtype=dtype, order=order)
     copy.setflags(write=False)
     return copy
+
+
+def _trusted(cls, **fields):
+    """A frozen `cls` value over arrays the library has just allocated, marked read-only.
+
+    It skips the constructor, so neither `frozen_copy` nor a check runs: the
+    caller guarantees each array is private, of the stored dtype and layout,
+    and already satisfies the type's invariants.
+    """
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+        object.__setattr__(value, name, field)
+    return value
 
 
 def index_array(values, upper: int | None = None) -> np.ndarray:
@@ -144,12 +159,8 @@ class PairBatch:
 
     def _subset(self, positions: np.ndarray) -> PairBatch:
         """The pairs at integer `positions`, taken without re-checking: every pair of a checked batch is valid."""
-        batch = object.__new__(PairBatch)
-        for name in ("index_a", "index_b", "similar"):
-            part = getattr(self, name)[positions]
-            part.setflags(write=False)
-            object.__setattr__(batch, name, part)
-        return batch
+        parts = {name: getattr(self, name)[positions] for name in ("index_a", "index_b", "similar")}
+        return _trusted(PairBatch, **parts)
 
 
 def save_features(matrix: FeatureMatrix, path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NonFiniteValue, TooManyCandidates
-from .features import feature_values, frozen_copy, one_index
+from .features import _trusted, feature_values, frozen_copy
 
 WORD_BITS = 64
 MAX_CODE_DIM = np.iinfo(np.uint16).max
@@ -22,6 +22,11 @@ MAX_CODE_DIM = np.iinfo(np.uint16).max
 
 def words_per_code(dim: int) -> int:
     return -(-dim // WORD_BITS)
+
+
+def _check_dim(dim: int) -> None:
+    if not 1 <= dim <= MAX_CODE_DIM:
+        raise ValueError(f"code dimension must be in [1, {MAX_CODE_DIM}], got {dim}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,7 @@ class PackedCodes:
         words = frozen_copy(self.words, np.uint64, order="F")
         if words.ndim != 2:
             raise ValueError(f"packed words must be 2-D, got shape {words.shape}")
-        if not 1 <= self.dim <= MAX_CODE_DIM:
-            raise ValueError(f"code dimension must be in [1, {MAX_CODE_DIM}], got {self.dim}")
+        _check_dim(self.dim)
         if words.shape[1] != words_per_code(self.dim):
             raise ValueError(
                 f"dim {self.dim} needs {words_per_code(self.dim)} words per code, "
@@ -59,22 +63,17 @@ def sign_encode(features) -> PackedCodes:
     if not np.isfinite(values).all():
         raise NonFiniteValue("features contain non-finite values")
     n_items, dim = values.shape
-    bits = (values >= 0).astype(np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    _check_dim(dim)
+    packed = np.packbits(values >= 0, axis=1, bitorder="little")
     n_bytes = words_per_code(dim) * (WORD_BITS // 8)
     if packed.shape[1] < n_bytes:
-        pad = np.zeros((n_items, n_bytes - packed.shape[1]), dtype=np.uint8)
-        packed = np.hstack([packed, pad])
-    words = packed.view("<u8").astype(np.uint64, copy=False)
-    return PackedCodes(dim=dim, words=words)
-
-
-def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: int = 0) -> int:
-    """Number of differing bit positions between code i of x and code j of y."""
-    if codes_x.dim != codes_y.dim:
-        raise DimMismatch(f"code dims differ: {codes_x.dim} vs {codes_y.dim}")
-    diff = codes_x.words[one_index(i, codes_x.count)] ^ codes_y.words[one_index(j, codes_y.count)]
-    return int(np.bitwise_count(diff).sum())
+        # whole words from one zeroed buffer: the bytes past the packed bits are the zero padding
+        buffer = np.zeros((n_items, n_bytes), dtype=np.uint8)
+        buffer[:, : packed.shape[1]] = packed
+        packed = buffer
+    # one row, or one word per code, is already word-major; only larger blocks are copied
+    words = np.asfortranarray(packed.view("<u8").astype(np.uint64, copy=False))
+    return _trusted(PackedCodes, dim=dim, words=words)
 
 
 def hamming_distances(query: PackedCodes, database: PackedCodes) -> np.ndarray:
@@ -99,6 +98,9 @@ def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
     """Positions of the `count` smallest keys (distances, or negated scores), by (key, index)."""
     if count == 0:
         return np.empty(0, dtype=np.int64)
+    if 2 * count >= len(dists):
+        # keeping half the keys or more, one stable sort costs less than partition, pool and sort
+        return np.argsort(dists, kind="stable")[:count]
     cut = np.partition(dists, count - 1)[count - 1]
     # the pool is in index order, so a stable sort by distance breaks ties by index
     pool = np.flatnonzero(dists <= cut)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CountMismatch, DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
-from .features import feature_values, frozen_copy, index_array
+from .features import _trusted, feature_values, frozen_copy, index_array
 from .pool import _mac_workers, _row_slices
 
 MAX_BOOK_SIZE = 65536
@@ -423,21 +423,15 @@ def build_lookup_table(query: np.ndarray, model: QuantizerModel) -> LookupTable:
     query = np.asarray(query, dtype=np.float64).reshape(-1)
     if query.shape[0] != model.dim:
         raise DimMismatch(f"query has dim {query.shape[0]}, model has dim {model.dim}")
-    return LookupTable(values=query @ model.codebooks)
-
-
-def aqd(table: LookupTable, item_indices) -> float:
-    """Asymmetric similarity of the table's query to one quantized item."""
-    indices = index_array(item_indices, table.book_size).reshape(-1)
-    if indices.shape[0] != table.num_books:
-        raise IndexOutOfRange(
-            f"expected {table.num_books} indices (one per book), got {indices.shape[0]}"
-        )
-    return float(table.values[np.arange(table.num_books), indices].sum())
+    values = query @ model.codebooks
+    # finite factors can still overflow to inf
+    if not np.isfinite(values).all():
+        raise ValueError("lookup table contains non-finite values")
+    return _trusted(LookupTable, values=values)
 
 
 def aqd_scores(table: LookupTable, indicators: IndicatorSet, items: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized aqd over many items: one table take per book, added in aqd's book order."""
+    """Each item's asymmetric similarity to the table's query: one table take per book, added in book order."""
     if indicators.num_books != table.num_books or indicators.book_size != table.book_size:
         raise DimMismatch("indicator shape does not match lookup table")
     columns = indicators.indices.T  # (m, N), each book's column contiguous
@@ -447,12 +441,3 @@ def aqd_scores(table: LookupTable, indicators: IndicatorSet, items: np.ndarray |
     for book in range(1, table.num_books):
         scores += table.values[book].take(columns[book])
     return scores
-
-
-def quantization_residual_norm(feature: np.ndarray, model: QuantizerModel, indices) -> float:
-    """Euclidean norm of one item's reconstruction residual."""
-    feature = np.asarray(feature, dtype=np.float64).reshape(-1)
-    if feature.shape[0] != model.dim:
-        raise DimMismatch(f"feature has dim {feature.shape[0]}, model has dim {model.dim}")
-    approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
-    return float(np.linalg.norm(feature - approx))

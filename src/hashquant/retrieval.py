@@ -16,7 +16,7 @@ import numpy as np
 
 from .binfile import read_file, write_file
 from .errors import CountMismatch, DimMismatch, NonFiniteValue, ZeroNormVector
-from .features import feature_values, frozen_copy, index_array
+from .features import _trusted, feature_values, frozen_copy, index_array
 from .hashing import (
     PackedCodes,
     check_count,
@@ -146,7 +146,7 @@ def two_stage_query(
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators, items=shortlist)
     chosen = nearest_first(-scores, top_k)
-    return RankedResult(indices=shortlist[chosen], scores=scores[chosen])
+    return _trusted(RankedResult, indices=shortlist[chosen], scores=scores[chosen])
 
 
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
@@ -156,7 +156,7 @@ def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ran
     table = build_lookup_table(row, index.quantizer)
     scores = aqd_scores(table, index.indicators)
     chosen = nearest_first(-scores, top_k)
-    return RankedResult(indices=chosen, scores=scores[chosen])
+    return _trusted(RankedResult, indices=chosen, scores=scores[chosen])
 
 
 def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
@@ -166,7 +166,7 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
     check_count("top_k", top_k, index.count)
     dists = hamming_distances(query_codes, index.codes)
     chosen = nearest_first(dists, top_k)
-    return RankedResult(indices=chosen, scores=-dists[chosen].astype(np.float64))
+    return _trusted(RankedResult, indices=chosen, scores=-dists[chosen].astype(np.float64))
 
 
 def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedResult:
@@ -192,7 +192,7 @@ def _cosine_ranking(query_feature, database: np.ndarray, norms: np.ndarray, top_
         raise ZeroNormVector("query vector has zero norm")
     scores = (database @ row) / (norms * query_norm)
     chosen = nearest_first(-scores, top_k)
-    return RankedResult(indices=chosen, scores=scores[chosen])
+    return _trusted(RankedResult, indices=chosen, scores=scores[chosen])
 
 
 def save_index(index: RetrievalIndex, path) -> None:

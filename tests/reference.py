@@ -2,18 +2,21 @@
 
 The library computes the four loss terms row-vectorised (`trainer.total_loss`,
 `loss_gradients` and `train`'s per-epoch loss), packs signs without ever
-unpacking them, and builds pair similarity flags a whole array at a time
-(`generate_pairs`).  These are the same definitions written one row or one
-pair at a time.  Index arguments go through the library's own checks
-(`features.one_index`, `quantizer.reconstruct`), so a bad index raises
+unpacking them, scans Hamming distances and asymmetric scores a whole
+database at a time (`hamming_distances`, `aqd_scores`), and builds pair
+similarity flags a whole array at a time (`generate_pairs`).  These are the
+same definitions written one row or one pair at a time.  Index arguments go
+through the library's own checks (`features.one_index`,
+`features.index_array`, `quantizer.reconstruct`), so a bad index raises
 `IndexOutOfRange` here as it does in the library.
 """
 
 import numpy as np
 
-from hashquant.features import LabelSet, one_index
+from hashquant.errors import DimMismatch, IndexOutOfRange
+from hashquant.features import LabelSet, index_array, one_index
 from hashquant.hashing import PackedCodes
-from hashquant.quantizer import QuantizerModel, reconstruct
+from hashquant.quantizer import LookupTable, QuantizerModel, reconstruct
 
 
 def _sign(values: np.ndarray) -> np.ndarray:
@@ -56,3 +59,30 @@ def pair_labels(labels_a: LabelSet, labels_b: LabelSet, i: int, j: int) -> int:
     """1 when items i (modality A) and j (modality B) share any label, else 0."""
     shared = labels_a.masks[one_index(i, labels_a.count)] & labels_b.masks[one_index(j, labels_b.count)]
     return int(bool(shared))
+
+
+def hamming_distance(codes_x: PackedCodes, codes_y: PackedCodes, i: int = 0, j: int = 0) -> int:
+    """Number of differing bit positions between code i of x and code j of y."""
+    if codes_x.dim != codes_y.dim:
+        raise DimMismatch(f"code dims differ: {codes_x.dim} vs {codes_y.dim}")
+    diff = codes_x.words[one_index(i, codes_x.count)] ^ codes_y.words[one_index(j, codes_y.count)]
+    return int(np.bitwise_count(diff).sum())
+
+
+def aqd(table: LookupTable, item_indices) -> float:
+    """Asymmetric similarity of the table's query to one quantized item, added in book order."""
+    indices = index_array(item_indices, table.book_size).reshape(-1)
+    if indices.shape[0] != table.num_books:
+        raise IndexOutOfRange(
+            f"expected {table.num_books} indices (one per book), got {indices.shape[0]}"
+        )
+    return float(table.values[np.arange(table.num_books), indices].sum())
+
+
+def quantization_residual_norm(feature: np.ndarray, model: QuantizerModel, indices) -> float:
+    """Euclidean norm of one item's reconstruction residual."""
+    feature = np.asarray(feature, dtype=np.float64).reshape(-1)
+    if feature.shape[0] != model.dim:
+        raise DimMismatch(f"feature has dim {feature.shape[0]}, model has dim {model.dim}")
+    approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
+    return float(np.linalg.norm(feature - approx))

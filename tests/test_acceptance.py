@@ -22,14 +22,12 @@ from hashquant import (
     RetrievalTask,
     TrainConfig,
     TruncatedFile,
-    aqd,
     assign_indicators,
     build_index,
     build_lookup_table,
     encoder_forward,
     full_aqd_query,
     generate_pairs,
-    hamming_distance,
     harmonic_mean,
     init_encoder,
     learn_quantizer,
@@ -41,7 +39,6 @@ from hashquant import (
     memory_footprint,
     op_count,
     quantization_objective,
-    quantization_residual_norm,
     save_features,
     save_index,
     save_labels,
@@ -56,6 +53,7 @@ from hashquant import (
 )
 from hashquant.evaluate import CostModel
 from hashquant.features import PairBatch
+from reference import aqd, hamming_distance, quantization_residual_norm
 
 
 @contextmanager

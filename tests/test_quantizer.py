@@ -10,11 +10,11 @@ from hashquant import (
     DimMismatch,
     IndexOutOfRange,
     IndicatorSet,
+    LookupTable,
     NonFiniteValue,
     NotEnoughItems,
     QuantizerModel,
     SingularSystem,
-    aqd,
     aqd_scores,
     assign_indicators,
     average_precision_at,
@@ -24,7 +24,6 @@ from hashquant import (
     learn_quantizer,
     load_index,
     quantization_objective,
-    quantization_residual_norm,
     reconstruct,
     save_index,
     synth_dataset,
@@ -32,7 +31,7 @@ from hashquant import (
 )
 from hashquant import quantizer
 from hashquant.quantizer import MAX_BOOK_SIZE
-from reference import quant_loss_term
+from reference import aqd, quant_loss_term, quantization_residual_norm
 
 
 @pytest.mark.parametrize("bad", ["-1", "k"])
@@ -521,6 +520,24 @@ class TestLookupAndAqd:
         batch = aqd_scores(table, indicators)
         for i in range(9):
             assert batch[i] == pytest.approx(aqd(table, indicators.indices[i]), rel=1e-12)
+
+    def test_table_is_a_private_read_only_float64_array(self, rng):
+        model = QuantizerModel(codebooks=rng.standard_normal((3, 4, 5)))
+        query = rng.standard_normal(4)
+        table = build_lookup_table(query, model)
+        assert table.values.dtype == np.float64 and table.values.shape == (3, 5)
+        assert table.values.flags.c_contiguous and not table.values.flags.writeable
+        assert not np.shares_memory(table.values, model.codebooks) and not np.shares_memory(table.values, query)
+        assert np.array_equal(LookupTable(values=table.values).values, table.values)
+
+    def test_table_that_overflows_to_inf_raises(self):
+        # every factor is finite; their product is not
+        model = QuantizerModel(codebooks=np.full((2, 3, 4), 1e10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                build_lookup_table(np.full(3, 1e300), model)
+            with pytest.raises(ValueError, match="non-finite"):
+                build_lookup_table(np.array([1e300, -1e300, 1.0]) * 1e8, model)
 
     def test_aqd_index_out_of_range(self, rng):
         model = QuantizerModel(codebooks=rng.standard_normal((1, 3, 2)))

@@ -10,6 +10,7 @@ from hashquant import (
     IndicatorSet,
     NonFiniteValue,
     QuantizerModel,
+    RankedResult,
     TooManyCandidates,
     TruncatedFile,
     VersionMismatch,
@@ -307,6 +308,45 @@ def test_score_ranked_modes_match_lexsort_for_every_top_k(count, pool, seed):
             run(pool_items.size + 1)
         with pytest.raises(ValueError):
             run(-1)
+
+
+@given(
+    count=st.integers(min_value=1, max_value=24),
+    pool=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_query_results_equal_their_checked_rebuild(count, pool, seed):
+    # the query functions build their results unchecked and uncopied; the
+    # public constructor must accept each one as it is and copy it
+    rng = np.random.default_rng(seed)
+    dim = 6
+    patterns = rng.integers(-2, 3, size=(pool, dim)).astype(np.float64)
+    patterns[:, 0] = rng.choice([-1.0, 1.0], size=pool)  # no zero-norm row
+    rows = patterns[rng.integers(0, pool, size=count)]
+    books = np.stack([patterns.T, -patterns.T])  # two books, so scores are sums of ties
+    indicators = IndicatorSet(book_size=pool, indices=rng.integers(0, pool, size=(count, 2)))
+    index = build_index(rows, QuantizerModel(codebooks=books), indicators)
+    query = rng.integers(-2, 3, size=dim).astype(np.float64)
+    query[0] = 1.0
+    for top_k in range(count + 1):
+        results = {
+            "two_stage": two_stage_query(query, index, candidates=max(top_k, count // 2), top_k=top_k),
+            "two_stage_all": two_stage_query(query, index, candidates=count, top_k=top_k),
+            "full_aqd": full_aqd_query(query, index, top_k=top_k),
+            "hash_only": hash_only_query(query, index, top_k=top_k),
+            "lossless": lossless_query(query, rows, top_k=top_k),
+        }
+        for result in results.values():
+            assert len(result) == top_k
+            assert result.indices.dtype == np.int64 and result.scores.dtype == np.float64
+            assert not result.indices.flags.writeable and not result.scores.flags.writeable
+            rebuilt = RankedResult(indices=result.indices, scores=result.scores)
+            assert rebuilt.indices.tobytes() == result.indices.tobytes()
+            assert rebuilt.scores.tobytes() == result.scores.tobytes()
+            assert not np.shares_memory(rebuilt.indices, result.indices)
+            assert not np.shares_memory(rebuilt.scores, result.scores)
+        assert results["two_stage_all"].indices.tolist() == results["full_aqd"].indices.tolist()
+        assert results["two_stage_all"].scores.tobytes() == results["full_aqd"].scores.tobytes()
 
 
 class TestCrossModalSymmetry:

@@ -71,7 +71,6 @@ from .retrieval import (
     full_aqd_query,
     hash_only_query,
     load_index,
-    lossless_query,
     save_index,
     two_stage_query,
 )
@@ -85,7 +84,6 @@ from .evaluate import (
     equal_memory_quantizer,
     evaluate_tasks,
     harmonic_mean,
-    map_at,
     memory_footprint,
     op_count,
     ranked_results,

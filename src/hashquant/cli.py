@@ -37,7 +37,7 @@ from .features import (
     synth_dataset,
 )
 from .quantizer import assign_indicators
-from .retrieval import build_index, load_index, save_index
+from .retrieval import DEFAULT_CANDIDATES, build_index, load_index, save_index
 from .trainer import encoder_forward, load_model, save_model, train
 
 
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--database", default=None, help="feature file for --mode lossless")
     p.add_argument("--database-modality", choices=("a", "b"), default="b")
     p.add_argument("--mode", choices=MODES, default="two_stage")
-    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p.add_argument("--topk", type=int, default=10)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_query)
@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--mode", choices=MODES, default="two_stage")
-    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p.add_argument("--r", type=int, default=50)
     p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_eval)
@@ -303,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=50)
     p.add_argument("--dims", default="64,128,256,512")
     p.add_argument("--count", type=int, default=100_000)
-    p.add_argument("--candidates", type=int, default=100)
+    p.add_argument("--candidates", type=int, default=DEFAULT_CANDIDATES)
     p.add_argument("--queries", type=int, default=32)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

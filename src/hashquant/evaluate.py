@@ -22,6 +22,7 @@ from .hashing import sign_encode
 from .pool import _row_slices, _usable_cpus
 from .quantizer import IndicatorSet, QuantizerModel
 from .retrieval import (
+    DEFAULT_CANDIDATES,
     RankedResult,
     RetrievalIndex,
     _cosine_database,
@@ -31,7 +32,6 @@ from .retrieval import (
     two_stage_query,
 )
 
-VARIANTS = ("lossless", "binary_hash", "quantization", "hq")
 MODES = ("two_stage", "full_aqd", "hash_only", "lossless")  # ranked_results' modes, the CLI's too
 # the two-stage side of the n sweep: m books of k columns
 HQ_BOOKS = 4
@@ -77,38 +77,6 @@ def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
     return float((precision_at * hits).sum() / min(n_relevant, cutoff))
 
 
-def map_at(
-    query_features: np.ndarray,
-    relevant_sets,
-    *,
-    mode: str,
-    index: RetrievalIndex | None = None,
-    database_features: np.ndarray | None = None,
-    cutoff: int = 50,
-    candidates: int = 100,
-) -> float:
-    """Mean AP@cutoff over all query rows for one retrieval mode.
-
-    `relevant_sets` holds one entry per query (index collection or boolean
-    mask over the database).  `candidates` only applies to two_stage and is
-    clamped to the database size.
-    """
-    aps = _per_query_ap(
-        query_features, relevant_sets, cutoff,
-        mode=mode, index=index, database_features=database_features, candidates=candidates,
-    )
-    return float(np.mean(aps))
-
-
-def _per_query_ap(query_features, relevant_sets, cutoff: int, **query_args) -> tuple[float, ...]:
-    """AP@cutoff of each query row's ranked_results ranking against its relevant set."""
-    rankings = ranked_results(query_features, top_k=cutoff, **query_args)
-    return tuple(
-        average_precision_at(ranking, relevant, cutoff)
-        for ranking, relevant in zip(rankings, relevant_sets)
-    )
-
-
 def ranked_results(
     query_features: np.ndarray,
     *,
@@ -116,7 +84,7 @@ def ranked_results(
     index: RetrievalIndex | None = None,
     database_features: np.ndarray | None = None,
     top_k: int = 50,
-    candidates: int = 100,
+    candidates: int = DEFAULT_CANDIDATES,
 ) -> list[RankedResult]:
     """Run one retrieval mode over every query row.
 
@@ -168,18 +136,18 @@ def harmonic_mean(a: float, b: float) -> float:
 class EvalReport:
     """Both directional MAPs, their harmonic mean, and the per-query APs.
 
-    The harmonic field is derived, never caller-supplied, so the invariant
-    harmonic = 2ab/(a+b) holds by construction.
+    The harmonic mean is a read-only property of the two MAPs, so the
+    invariant harmonic = 2ab/(a+b) holds by construction.
     """
 
     map_i2t: float
     map_t2i: float
     per_query_i2t: tuple[float, ...]
     per_query_t2i: tuple[float, ...]
-    harmonic: float = 0.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "harmonic", harmonic_mean(self.map_i2t, self.map_t2i))
+    @property
+    def harmonic(self) -> float:
+        return harmonic_mean(self.map_i2t, self.map_t2i)
 
 
 def evaluate_tasks(
@@ -188,16 +156,23 @@ def evaluate_tasks(
     *,
     mode: str = "two_stage",
     cutoff: int = 50,
-    candidates: int = 100,
+    candidates: int = DEFAULT_CANDIDATES,
 ) -> EvalReport:
-    """Per-query AP in both directions, rolled up into one report."""
-    per_query = [
-        _per_query_ap(
-            task.queries, task.relevant_sets, cutoff,
-            mode=mode, index=task.index, database_features=task.database, candidates=candidates,
+    """Per-query AP@cutoff in both directions, rolled up into one report.
+
+    Each task's rankings come from ranked_results over its queries;
+    `candidates` only applies to two_stage and is clamped to the index size.
+    """
+    per_query = []
+    for task in (task_i2t, task_t2i):
+        rankings = ranked_results(
+            task.queries, mode=mode, index=task.index, database_features=task.database,
+            top_k=cutoff, candidates=candidates,
         )
-        for task in (task_i2t, task_t2i)
-    ]
+        per_query.append(tuple(
+            average_precision_at(ranking, relevant, cutoff)
+            for ranking, relevant in zip(rankings, task.relevant_sets)
+        ))
     return EvalReport(
         map_i2t=float(np.mean(per_query[0])),
         map_t2i=float(np.mean(per_query[1])),
@@ -214,7 +189,7 @@ class CostModel:
     dim: int
     num_books: int
     book_size: int
-    candidates: int = 100
+    candidates: int = DEFAULT_CANDIDATES
 
 
 def _log2_exact(k: int) -> int:
@@ -415,7 +390,7 @@ class NSweepPoint:
 def sweep_n(
     dims,
     count: int = 100_000,
-    candidates: int = 100,
+    candidates: int = DEFAULT_CANDIDATES,
     num_queries: int = 32,
     repeats: int = 7,
     seed: int = 0,

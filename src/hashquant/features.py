@@ -98,14 +98,6 @@ def index_array(values, upper: int | None = None) -> np.ndarray:
     return indices
 
 
-def one_index(value, upper: int) -> int:
-    """One index in [0, upper), checked as `index_array` checks; a list or array raises IndexOutOfRange."""
-    index = index_array(value, upper)
-    if index.ndim:
-        raise IndexOutOfRange(f"expected one index, got shape {index.shape}")
-    return int(index)
-
-
 @dataclass(frozen=True)
 class LabelSet:
     """Per-item 64-bit label masks over a vocabulary of num_labels bits."""

@@ -426,7 +426,7 @@ def build_lookup_table(query: np.ndarray, model: QuantizerModel) -> LookupTable:
     values = query @ model.codebooks
     # finite factors can still overflow to inf
     if not np.isfinite(values).all():
-        raise ValueError("lookup table contains non-finite values")
+        raise NonFiniteValue("lookup table contains non-finite values")
     return _trusted(LookupTable, values=values)
 
 

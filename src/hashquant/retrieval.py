@@ -169,11 +169,6 @@ def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ra
     return _trusted(RankedResult, indices=chosen, scores=-dists[chosen].astype(np.float64))
 
 
-def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedResult:
-    """Cosine similarity against uncompressed features; the accuracy ceiling."""
-    return _cosine_ranking(query_feature, *_cosine_database(database_features), top_k)
-
-
 def _cosine_database(database_features) -> tuple[np.ndarray, np.ndarray]:
     """The float64 database and its row norms: the query-independent half of a lossless query."""
     database = np.asarray(feature_values(database_features), dtype=np.float64)

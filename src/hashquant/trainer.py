@@ -97,7 +97,6 @@ class TrainConfig:
 class EncoderParams:
     """Affine + tanh stack for one modality; weights are (d_in, d_out)."""
 
-    modality: str
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
@@ -120,7 +119,7 @@ class EncoderParams:
         return self.layers[0][0].shape[0]
 
 
-def init_encoder(dim: int, depth: int, seed: int, modality: str = "") -> EncoderParams:
+def init_encoder(dim: int, depth: int, seed: int) -> EncoderParams:
     """Seeded uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     rng = np.random.default_rng(seed)
     layers = []
@@ -129,7 +128,7 @@ def init_encoder(dim: int, depth: int, seed: int, modality: str = "") -> Encoder
         weight = rng.uniform(-limit, limit, size=(dim, dim))
         bias = rng.uniform(-limit, limit, size=dim)
         layers.append((weight, bias))
-    return EncoderParams(modality=modality, layers=tuple(layers))
+    return EncoderParams(layers=tuple(layers))
 
 
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
@@ -278,7 +277,7 @@ def _apply_step(params: EncoderParams, grads, scale: float) -> EncoderParams:
         (weight - scale * g_w, bias - scale * g_b)
         for (weight, bias), (g_w, g_b) in zip(params.layers, grads)
     )
-    return EncoderParams(modality=params.modality, layers=layers)
+    return EncoderParams(layers=layers)
 
 
 @dataclass(frozen=True)
@@ -319,8 +318,8 @@ def train(
 
     seed_rng = np.random.default_rng(config.seed)
     seeds = seed_rng.integers(0, 2**63 - 1, size=4)
-    encoder_a = init_encoder(values_a.shape[1], config.depth, int(seeds[0]), modality="a")
-    encoder_b = init_encoder(values_b.shape[1], config.depth, int(seeds[1]), modality="b")
+    encoder_a = init_encoder(values_a.shape[1], config.depth, int(seeds[0]))
+    encoder_b = init_encoder(values_b.shape[1], config.depth, int(seeds[1]))
     shuffle_rng = np.random.default_rng(int(seeds[2]))
 
     encoded_a = encoder_forward(encoder_a, values_a)
@@ -397,6 +396,6 @@ def load_model(path) -> tuple[EncoderParams, EncoderParams, QuantizerModel]:
         (layer[: dim * dim].reshape(dim, dim), layer[dim * dim :])
         for layer in params.reshape(2 * depth, dim * dim + dim)
     ]
-    encoder_a = EncoderParams(modality="a", layers=tuple(layers[:depth]))
-    encoder_b = EncoderParams(modality="b", layers=tuple(layers[depth:]))
+    encoder_a = EncoderParams(layers=tuple(layers[:depth]))
+    encoder_b = EncoderParams(layers=tuple(layers[depth:]))
     return encoder_a, encoder_b, QuantizerModel(codebooks=books.reshape(num_books, dim, book_size))

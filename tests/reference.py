@@ -6,17 +6,33 @@ unpacking them, scans Hamming distances and asymmetric scores a whole
 database at a time (`hamming_distances`, `aqd_scores`), and builds pair
 similarity flags a whole array at a time (`generate_pairs`).  These are the
 same definitions written one row or one pair at a time.  Index arguments go
-through the library's own checks (`features.one_index`,
-`features.index_array`, `quantizer.reconstruct`), so a bad index raises
-`IndexOutOfRange` here as it does in the library.
+through the library's own checks (`features.index_array`, directly or
+through `one_index` below, and `quantizer.reconstruct`), so a bad index
+raises `IndexOutOfRange` here as it does in the library.
+
+`map_at` and `lossless_query` are the loose-argument forms of what the
+library runs batched: `map_at` is one direction of `evaluate.evaluate_tasks`,
+built on `ranked_results` and `average_precision_at`, and `lossless_query` is
+one row of `ranked_results(mode="lossless")`, built on the same
+`_cosine_database` and `_cosine_ranking`.
 """
 
 import numpy as np
 
 from hashquant.errors import DimMismatch, IndexOutOfRange
-from hashquant.features import LabelSet, index_array, one_index
+from hashquant.evaluate import average_precision_at, ranked_results
+from hashquant.features import LabelSet, index_array
 from hashquant.hashing import PackedCodes
 from hashquant.quantizer import LookupTable, QuantizerModel, reconstruct
+from hashquant.retrieval import RankedResult, _cosine_database, _cosine_ranking
+
+
+def one_index(value, upper: int) -> int:
+    """One index in [0, upper), checked as `index_array` checks; a list or array raises IndexOutOfRange."""
+    index = index_array(value, upper)
+    if index.ndim:
+        raise IndexOutOfRange(f"expected one index, got shape {index.shape}")
+    return int(index)
 
 
 def _sign(values: np.ndarray) -> np.ndarray:
@@ -86,3 +102,20 @@ def quantization_residual_norm(feature: np.ndarray, model: QuantizerModel, indic
         raise DimMismatch(f"feature has dim {feature.shape[0]}, model has dim {model.dim}")
     approx = reconstruct(model, np.reshape(indices, (1, -1)))[0]
     return float(np.linalg.norm(feature - approx))
+
+
+def lossless_query(query_feature, database_features, top_k: int = 10) -> RankedResult:
+    """Cosine similarity of one query row against uncompressed features; the accuracy ceiling."""
+    return _cosine_ranking(query_feature, *_cosine_database(database_features), top_k)
+
+
+def map_at(query_features, relevant_sets, *, mode: str, cutoff: int = 50, **query_args) -> float:
+    """Mean AP@cutoff over all query rows for one retrieval mode.
+
+    `relevant_sets` holds one entry per query (index collection or boolean
+    mask over the database); `query_args` (index, database_features,
+    candidates) go to `ranked_results` as they are.
+    """
+    rankings = ranked_results(query_features, mode=mode, top_k=cutoff, **query_args)
+    aps = [average_precision_at(ranking, relevant, cutoff) for ranking, relevant in zip(rankings, relevant_sets)]
+    return float(np.mean(aps))

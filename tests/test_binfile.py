@@ -28,8 +28,8 @@ def formats():
     features_a, features_b, labels = synth_dataset(3, 4, 8, 0.3, seed=5)
     fit = learn_quantizer(features_a.values, features_b.values, num_books=2, book_size=4, seed=1)
     index = build_index(features_b.values, fit.model, fit.indicators_b, "b")
-    encoder_a = init_encoder(8, 2, seed=1, modality="a")
-    encoder_b = init_encoder(8, 2, seed=2, modality="b")
+    encoder_a = init_encoder(8, 2, seed=1)
+    encoder_b = init_encoder(8, 2, seed=2)
     return {
         "dfm": (lambda path: save_features(features_a, path), load_features, save_features, False),
         "lbl": (lambda path: save_labels(labels, path), load_labels, save_labels, False),

@@ -26,8 +26,6 @@ from hashquant import (
     harmonic_mean,
     hash_only_query,
     learn_quantizer,
-    lossless_query,
-    map_at,
     memory_footprint,
     op_count,
     ranked_results,
@@ -38,6 +36,7 @@ from hashquant import (
     two_stage_query,
 )
 from hashquant import evaluate, pool
+from reference import lossless_query, map_at
 
 
 def literal_ap(ranking, relevant, cutoff):
@@ -412,10 +411,14 @@ class TestEvaluateTasks:
             evaluate_tasks(replace(task_i2t, database=features_b), task_t2i, mode="lossless", cutoff=20)
 
     def test_harmonic_is_always_derived(self):
-        report = EvalReport(
-            map_i2t=0.5, map_t2i=1.0, per_query_i2t=(0.5,), per_query_t2i=(1.0,), harmonic=0.123,
-        )
+        maps = dict(map_i2t=0.5, map_t2i=1.0, per_query_i2t=(0.5,), per_query_t2i=(1.0,))
+        with pytest.raises(TypeError, match="harmonic"):
+            EvalReport(**maps, harmonic=0.123)
+        report = EvalReport(**maps)
         assert report.harmonic == pytest.approx(2 / 3, abs=1e-12)
+        with pytest.raises(AttributeError):
+            report.harmonic = 0.123
+        assert replace(report, map_t2i=0.5).harmonic == 0.5
 
 
 class TestSweepAlpha:

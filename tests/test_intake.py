@@ -53,7 +53,7 @@ VALUE_TYPES = {
     "LookupTable": ([RNG.standard_normal((2, 4))], LookupTable, lambda obj: [obj.values]),
     "EncoderParams": (
         [RNG.standard_normal((3, 3)), RNG.standard_normal(3)],
-        lambda weight, bias: EncoderParams("a", ((weight, bias),)),
+        lambda weight, bias: EncoderParams(((weight, bias),)),
         lambda obj: list(obj.layers[0]),
     ),
     "RankedResult": (
@@ -92,7 +92,7 @@ NO_UPPER = ("float", "bool", "negative")
 # each entry point takes two indices, and the bad kinds that apply to it: every
 # upper bound here is 4, and a boolean `relevant` is a mask, not indices.
 # pair_labels and quant_loss_term are the test-local references, which check
-# their indices through features.one_index and quantizer.reconstruct
+# their indices through reference.one_index and quantizer.reconstruct
 INDEX_ENTRY_POINTS = {
     "IndicatorSet": (lambda v: IndicatorSet(book_size=4, indices=np.array([v])), tuple(BAD_INDICES)),
     "PairBatch": (lambda v: PairBatch(index_a=v, index_b=[0, 1], similar=[1, 0]), NO_UPPER),

@@ -534,9 +534,9 @@ class TestLookupAndAqd:
         # every factor is finite; their product is not
         model = QuantizerModel(codebooks=np.full((2, 3, 4), 1e10))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(NonFiniteValue, match="non-finite"):
                 build_lookup_table(np.full(3, 1e300), model)
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(NonFiniteValue, match="non-finite"):
                 build_lookup_table(np.array([1e300, -1e300, 1.0]) * 1e8, model)
 
     def test_aqd_index_out_of_range(self, rng):

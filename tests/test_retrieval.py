@@ -24,12 +24,12 @@ from hashquant import (
     hash_only_query,
     learn_quantizer,
     load_index,
-    lossless_query,
     save_index,
     sign_encode,
     synth_dataset,
     two_stage_query,
 )
+from reference import lossless_query
 
 
 def make_index(rng, count=60, dim=16, num_books=2, book_size=8, seed=0):
@@ -266,6 +266,18 @@ def test_non_finite_query_rejected(mode, rng):
         row[3] = bad
         with pytest.raises(NonFiniteValue):
             query(row, index, features, 5)
+
+
+@pytest.mark.parametrize("mode", ["two_stage", "full_aqd"])
+def test_finite_query_whose_table_overflows_rejected(mode, rng):
+    # every factor is finite; the query row times a codebook column is not
+    features = rng.standard_normal((12, 3))
+    model = QuantizerModel(codebooks=np.full((2, 3, 4), 1e10))
+    indicators = IndicatorSet(book_size=4, indices=rng.integers(0, 4, size=(12, 2)))
+    index = build_index(features, model, indicators)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteValue, match="lookup table"):
+            QUERY_MODES[mode](np.full(3, 1e300), index, features, 5)
 
 
 @given(

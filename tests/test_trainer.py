@@ -31,9 +31,9 @@ from hashquant.quantizer import MAX_BOOK_SIZE, QuantizerModel
 from reference import balance_loss, hash_loss, quant_loss_term, sim_loss
 
 
-def zero_encoder(dim, depth=1, modality="a"):
+def zero_encoder(dim, depth=1):
     layers = tuple((np.zeros((dim, dim)), np.zeros(dim)) for _ in range(depth))
-    return EncoderParams(modality=modality, layers=layers)
+    return EncoderParams(layers=layers)
 
 
 def flatten_params(params):
@@ -49,7 +49,7 @@ def rebuild_params(params, flat):
         b = flat[offset : offset + bias.size]
         offset += bias.size
         layers.append((w, b))
-    return EncoderParams(modality=params.modality, layers=tuple(layers))
+    return EncoderParams(layers=tuple(layers))
 
 
 def finite_difference(loss_of, flat, step=1e-5):
@@ -70,7 +70,7 @@ class TestForward:
         assert (encoder_forward(params, np.ones(4)) == 0).all()
 
     def test_saturation(self):
-        params = EncoderParams(modality="a", layers=((np.eye(3) * 100.0, np.zeros(3)),))
+        params = EncoderParams(layers=((np.eye(3) * 100.0, np.zeros(3)),))
         out = encoder_forward(params, np.ones(3))
         assert (np.abs(out - 1.0) < 1e-6).all()
 
@@ -191,8 +191,8 @@ def tiny_setup(rng, n_items=10, dim=4, pairs=6, depth=1, with_quantizer=True, se
         index_b=rng.integers(0, n_items, size=pairs),
         similar=rng.integers(0, 2, size=pairs).astype(np.int8),
     )
-    encoder_a = init_encoder(dim, depth, seed=seed, modality="a")
-    encoder_b = init_encoder(dim, depth, seed=seed + 1, modality="b")
+    encoder_a = init_encoder(dim, depth, seed=seed)
+    encoder_b = init_encoder(dim, depth, seed=seed + 1)
     quantizer = indicators_a = indicators_b = None
     if with_quantizer:
         fit = learn_quantizer(
@@ -216,7 +216,7 @@ class TestTotalLoss:
     def test_single_pair_sim_only_is_log_two(self):
         features = np.ones((1, 3))
         batch = PairBatch(index_a=[0], index_b=[0], similar=[1])
-        ea, eb = zero_encoder(3, modality="a"), zero_encoder(3, modality="b")
+        ea, eb = zero_encoder(3), zero_encoder(3)
         weights = LossWeights(1.0, 0.0, 0.0, 0.0)
         assert total_loss(batch, features, features, ea, eb, weights) == pytest.approx(
             math.log(2), rel=1e-12
@@ -246,7 +246,7 @@ class TestGradients:
         dim = 4
         features = np.zeros((1, dim))
         batch = PairBatch(index_a=[0], index_b=[0], similar=[1])
-        ea, eb = zero_encoder(dim, modality="a"), zero_encoder(dim, modality="b")
+        ea, eb = zero_encoder(dim), zero_encoder(dim)
         weights = LossWeights(0.0, 1.0, 0.0, 0.0)
         grads_a, grads_b = loss_gradients(batch, features, features, ea, eb, weights)
         assert np.allclose(grads_a[0][1], -2.0)
@@ -257,9 +257,9 @@ class TestGradients:
         dim = 3
         features = np.zeros((1, dim))
         batch = PairBatch(index_a=[0], index_b=[0], similar=[0])
-        ea = zero_encoder(dim, modality="a")
+        ea = zero_encoder(dim)
         bias_b = np.array([0.5, -0.2, 0.1])
-        eb = EncoderParams(modality="b", layers=((np.zeros((dim, dim)), bias_b),))
+        eb = EncoderParams(layers=((np.zeros((dim, dim)), bias_b),))
         weights = LossWeights(1.0, 0.0, 0.0, 0.0)
         grads_a, _ = loss_gradients(batch, features, features, ea, eb, weights)
         f_b = np.tanh(bias_b)
@@ -423,8 +423,8 @@ class TestConfigTypes:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path, rng):
-        encoder_a = init_encoder(5, 2, seed=1, modality="a")
-        encoder_b = init_encoder(5, 2, seed=2, modality="b")
+        encoder_a = init_encoder(5, 2, seed=1)
+        encoder_b = init_encoder(5, 2, seed=2)
         quantizer = QuantizerModel(codebooks=rng.standard_normal((3, 5, 4)))
         path = tmp_path / "model.hqm"
         save_model(path, encoder_a, encoder_b, quantizer)

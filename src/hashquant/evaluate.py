@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import CountMismatch, InfeasibleBudget, KNotPowerOfTwo
-from .features import index_array
+from .features import _query_rows, index_array
 from .hashing import sign_encode
 from .pool import _row_slices, _usable_cpus
 from .quantizer import IndicatorSet, QuantizerModel
@@ -27,6 +27,7 @@ from .retrieval import (
     RetrievalIndex,
     _cosine_database,
     _cosine_ranking,
+    _two_stage_rows,
     full_aqd_query,
     hash_only_query,
     two_stage_query,
@@ -43,6 +44,17 @@ HQ_BOOK_SIZE = 256
 # than one loop.  At and above it every mode measured break-even or better,
 # lossless also with default BLAS threading (README § Concurrency).
 PARALLEL_MIN_ITEMS = 65536
+# Below this database size ranked_results answers two-stage queries a block
+# of rows at a time (retrieval._two_stage_rows), bit for bit the per-row
+# answers.  A block saves each query's Python overhead, while its work per
+# query over the N items stays, so the gain shrinks as N grows.  With BLAS on one thread, 50-query
+# blocks ran at 2.3-2.9x the per-row loop at 5000 items and dims 32-128, and
+# at 1.09-1.39x at 32768 items; at 49152 items and dim 512 the block lost
+# (0.85x), so the gate is where every dim measured still wins
+# (README § Concurrency).  At PARALLEL_MIN_ITEMS and up the pool takes over.
+BLOCK_MAX_ITEMS = 32768
+# a block holds BLOCK_CELLS // N rows, so its (Q, N) uint64 XOR block stays at 2 MiB
+BLOCK_CELLS = 1 << 18
 
 
 def average_precision_at(ranking, relevant, cutoff: int = 50) -> float:
@@ -88,26 +100,36 @@ def ranked_results(
 ) -> list[RankedResult]:
     """Run one retrieval mode over every query row.
 
-    Each row goes through its mode's single-query function, so the results
-    are those of a per-row loop; lossless mode prepares its database once,
-    so a zero-norm row fails before any query row is checked.  When the
-    database holds at least PARALLEL_MIN_ITEMS items, contiguous slices of
-    the rows run on a thread pool of up to the usable CPUs, opened and
-    closed within the call.
+    `query_features` is one (dim,) row or a (Q, dim) block; any other shape
+    raises DimMismatch.  The result holds one RankedResult per row, those of
+    a per-row loop over the mode's single-query function, with the loop's
+    first error.  Lossless mode prepares its database once, so a zero-norm
+    row fails before any query row is checked.  Two-stage queries against
+    fewer than BLOCK_MAX_ITEMS items run a block of rows at a time through
+    one kernel.  When the database holds at least PARALLEL_MIN_ITEMS items,
+    contiguous slices of the rows run on a thread pool of up to the usable
+    CPUs, opened and closed within the call.
     """
-    queries = np.atleast_2d(np.asarray(query_features, dtype=np.float64))
     if mode == "lossless":
         if database_features is None:
             raise ValueError("lossless mode needs database_features")
         database, norms = _cosine_database(database_features)
         n_items = database.shape[0]
         run = partial(_cosine_ranking, database=database, norms=norms, top_k=min(top_k, n_items))
-        return _each_row(run, queries, n_items)
+        return _each_row(run, _query_rows(query_features, database.shape[1]), n_items)
     if index is None:
         raise ValueError(f"{mode} mode needs an index")
+    queries = _query_rows(query_features, index.dim)
     n_items = index.count
     if mode == "two_stage":
         budget = min(candidates, n_items)
+        if n_items < BLOCK_MAX_ITEMS:
+            step = max(1, BLOCK_CELLS // max(1, n_items))
+            return [
+                result
+                for lo in range(0, queries.shape[0], step)
+                for result in _two_stage_rows(queries[lo : lo + step], index, budget, min(top_k, budget))
+            ]
         run = partial(two_stage_query, index=index, candidates=budget, top_k=min(top_k, budget))
     elif mode == "full_aqd":
         run = partial(full_aqd_query, index=index, top_k=min(top_k, n_items))
@@ -293,8 +315,9 @@ def sweep_alpha(
     medians over >= 5 repetitions of the full query set through
     ranked_results, divided by the query count: mean_query_seconds is
     batched wall time per query, so from PARALLEL_MIN_ITEMS items up it
-    reflects every usable core.  The op and memory columns count task_i2t's
-    index at each point's candidate budget.
+    reflects every usable core, and below BLOCK_MAX_ITEMS items the
+    two-stage points time the block kernel.  The op and memory columns
+    count task_i2t's index at each point's candidate budget.
     """
     points = []
     tasks = (task_i2t, task_t2i)

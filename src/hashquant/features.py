@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .binfile import read_file, write_file
-from .errors import CountMismatch, IndexOutOfRange, NonFiniteValue, TooManyClusters
+from .errors import CountMismatch, DimMismatch, IndexOutOfRange, NonFiniteValue, TooManyClusters
 
 FEATURE_MAGIC = b"DFM1"
 LABEL_MAGIC = b"LBL1"
@@ -54,6 +54,26 @@ def feature_values(features) -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D feature array, got shape {arr.shape}")
     return arr
+
+
+def _query_rows(queries, dim: int, single: bool = False) -> np.ndarray:
+    """Query rows as a C-contiguous (Q, dim) float64 block: a (dim,) row is a block of one.
+
+    A block is (Q, dim); a `single` query is (dim,) or (1, dim).  Any other
+    shape raises DimMismatch, so no block is ever read as one long row.
+    Rows are contiguous because BLAS rounds a strided vector's products
+    differently, and a query's result must not depend on its layout.
+    """
+    rows = np.ascontiguousarray(queries, dtype=np.float64)
+    if rows.ndim == 1:
+        rows = rows[None]
+    if rows.ndim != 2 or (single and rows.shape[0] != 1):
+        expected = f"({dim},) or ({1 if single else 'Q'}, {dim})"
+        what = "a query" if single else "queries"
+        raise DimMismatch(f"{what} must have shape {expected}, got {np.shape(queries)}")
+    if rows.shape[1] != dim:
+        raise DimMismatch(f"query has dim {rows.shape[1]}, expected dim {dim}")
+    return rows
 
 
 def frozen_copy(array, dtype, order="C") -> np.ndarray:

@@ -64,7 +64,8 @@ def sign_encode(features) -> PackedCodes:
         raise NonFiniteValue("features contain non-finite values")
     n_items, dim = values.shape
     _check_dim(dim)
-    packed = np.packbits(values >= 0, axis=1, bitorder="little")
+    # C order, so that whole rows of bytes can be read as words whatever the input's layout
+    packed = np.packbits(np.ascontiguousarray(values >= 0), axis=1, bitorder="little")
     n_bytes = words_per_code(dim) * (WORD_BITS // 8)
     if packed.shape[1] < n_bytes:
         # whole words from one zeroed buffer: the bytes past the packed bits are the zero padding
@@ -94,8 +95,29 @@ def hamming_distances(query: PackedCodes, database: PackedCodes) -> np.ndarray:
     return dists
 
 
+def _distance_block(query_words: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """(Q, N) uint16 Hamming distances from Q packed query codes to N word-major database codes.
+
+    The arithmetic of hamming_distances, a block of query rows at a time;
+    one query keeps its own loop, whose scalar operands cost less per call.
+    """
+    # one XOR buffer for every word column: a second large temporary alive at once costs fresh pages
+    xor = np.bitwise_xor(words[:, 0], query_words[:, :1])
+    dists = np.bitwise_count(xor).astype(np.uint16)
+    for col in range(1, words.shape[1]):
+        np.bitwise_xor(words[:, col], query_words[:, col : col + 1], out=xor)
+        dists += np.bitwise_count(xor)
+    return dists
+
+
 def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
-    """Positions of the `count` smallest keys (distances, or negated scores), by (key, index)."""
+    """Positions of the `count` smallest keys (distances, or negated scores), by (key, index).
+
+    A 2-D `dists` is a block of rows: row r of the (rows, count) answer is
+    the 1-D answer for row r.
+    """
+    if dists.ndim == 2:
+        return _nearest_rows(dists, count)
     if count == 0:
         return np.empty(0, dtype=np.int64)
     if 2 * count >= len(dists):
@@ -107,9 +129,28 @@ def nearest_first(dists: np.ndarray, count: int) -> np.ndarray:
     return pool[np.argsort(dists[pool], kind="stable")[:count]]
 
 
+def _nearest_rows(dists: np.ndarray, count: int) -> np.ndarray:
+    """nearest_first for each row of a 2-D block of keys."""
+    rows, n_keys = dists.shape
+    if count == 0:
+        return np.empty((rows, 0), dtype=np.int64)
+    shift = (n_keys - 1).bit_length()
+    bits = dists.dtype.itemsize * 8 + shift
+    if dists.dtype.kind == "u" and bits <= 64:
+        # (key << shift) | index is unique per row and orders by (key, index), so a row-wise partition is exact
+        packed = dists.astype(np.uint32 if bits <= 32 else np.uint64)
+        packed <<= shift
+        packed |= np.arange(n_keys, dtype=packed.dtype)
+        packed.partition(count - 1, axis=1)  # in place: a partitioned copy would be a second large temporary
+        packed = np.sort(packed[:, :count], axis=1)
+        packed &= (1 << shift) - 1
+        return packed.astype(np.int64)
+    return np.argsort(dists, axis=1, kind="stable")[:, :count]
+
+
 def check_count(name: str, count: int, available: int) -> None:
     """`count` (a `top_k` or `candidates`) is an integer between 0 and `available`."""
-    if not isinstance(count, (int, np.integer)):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # np.bool_ is no np.integer
         raise ValueError(f"{name} must be an integer, got {count!r}")
     if count < 0:
         raise ValueError(f"{name} must be non-negative, got {count}")

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CountMismatch, DimMismatch, IndexOutOfRange, NonFiniteValue, NotEnoughItems, SingularSystem
-from .features import _trusted, feature_values, frozen_copy, index_array
+from .features import _query_rows, _trusted, feature_values, frozen_copy, index_array
 from .pool import _mac_workers, _row_slices
 
 MAX_BOOK_SIZE = 65536
@@ -419,15 +419,25 @@ def learn_quantizer(
 
 
 def build_lookup_table(query: np.ndarray, model: QuantizerModel) -> LookupTable:
-    """Dot products of one query row with every codebook column (m x k)."""
-    query = np.asarray(query, dtype=np.float64).reshape(-1)
-    if query.shape[0] != model.dim:
-        raise DimMismatch(f"query has dim {query.shape[0]}, model has dim {model.dim}")
-    values = query @ model.codebooks
+    """Dot products of one query row, (dim,) or (1, dim), with every codebook column (m x k)."""
+    values = _query_rows(query, model.dim, single=True)[0] @ model.codebooks
+    return _trusted(LookupTable, values=_finite_table(values))
+
+
+def _table_block(rows: np.ndarray, model: QuantizerModel) -> np.ndarray:
+    """The (Q, m, k) lookup tables of Q query rows, row r's bit for bit build_lookup_table(rows[r]).values.
+
+    The stacked product makes the single query's vector-matrix product once
+    per row and book; one (Q, n) matrix product per book would round differently.
+    """
+    return _finite_table(rows[:, None, None, :] @ model.codebooks)[:, :, 0]
+
+
+def _finite_table(values: np.ndarray) -> np.ndarray:
     # finite factors can still overflow to inf
     if not np.isfinite(values).all():
         raise NonFiniteValue("lookup table contains non-finite values")
-    return _trusted(LookupTable, values=values)
+    return values
 
 
 def aqd_scores(table: LookupTable, indicators: IndicatorSet, items: np.ndarray | None = None) -> np.ndarray:

@@ -16,9 +16,10 @@ import numpy as np
 
 from .binfile import read_file, write_file
 from .errors import CountMismatch, DimMismatch, NonFiniteValue, ZeroNormVector
-from .features import _trusted, feature_values, frozen_copy, index_array
+from .features import _query_rows, _trusted, feature_values, frozen_copy, index_array
 from .hashing import (
     PackedCodes,
+    _distance_block,
     check_count,
     hamming_distances,
     hamming_top_candidates,
@@ -26,7 +27,7 @@ from .hashing import (
     sign_encode,
     words_per_code,
 )
-from .quantizer import IndicatorSet, QuantizerModel, aqd_scores, build_lookup_table
+from .quantizer import IndicatorSet, QuantizerModel, _table_block, aqd_scores, build_lookup_table
 
 INDEX_MAGIC = b"HQX1"
 INDEX_VERSION = 1
@@ -110,16 +111,9 @@ def build_index(
     )
 
 
-def _query_row(query_feature, dim: int) -> np.ndarray:
-    row = np.asarray(query_feature, dtype=np.float64).reshape(-1)
-    if row.shape[0] != dim:
-        raise DimMismatch(f"query has dim {row.shape[0]}, index has dim {dim}")
-    return row
-
-
 def _finite_query_row(query_feature, dim: int) -> np.ndarray:
-    """_query_row for the modes without a hash stage; sign_encode rejects NaN and inf in the others."""
-    row = _query_row(query_feature, dim)
+    """The query row for the modes without a hash stage; sign_encode rejects NaN and inf in the others."""
+    row = _query_rows(query_feature, dim, single=True)[0]
     if not np.isfinite(row).all():
         raise NonFiniteValue("query contains non-finite values")
     return row
@@ -138,15 +132,50 @@ def two_stage_query(
     builds one lookup table and returns the `top_k` candidates by descending
     quantizer similarity, again breaking ties by ascending index.
     """
-    row = _query_row(query_feature, index.dim)
-    query_codes = sign_encode(row.reshape(1, -1))
+    rows = _query_rows(query_feature, index.dim, single=True)
+    query_codes = sign_encode(rows)
     # in index order, the stable select below breaks score ties by index
     shortlist = np.sort(hamming_top_candidates(query_codes, index.codes, candidates))
     check_count("top_k", top_k, candidates)
-    table = build_lookup_table(row, index.quantizer)
+    table = build_lookup_table(rows[0], index.quantizer)
     scores = aqd_scores(table, index.indicators, items=shortlist)
     chosen = nearest_first(-scores, top_k)
     return _trusted(RankedResult, indices=shortlist[chosen], scores=scores[chosen])
+
+
+def _two_stage_rows(queries: np.ndarray, index: RetrievalIndex, candidates: int, top_k: int) -> list[RankedResult]:
+    """[two_stage_query(q, index, candidates, top_k) for q in queries], bit for bit, a block at a time.
+
+    One sign_encode and one (Q, N) distance block make the first stage;
+    the second takes every row's table from one product, each row's the
+    same as build_lookup_table's, and gathers the (Q, candidates) scores
+    book by book, the additions aqd_scores makes.  The error raised is the
+    per-row loop's first: a row's sign code, then the counts, then its table.
+    """
+    count = queries.shape[0]
+    if not count:
+        return []
+    finite = np.isfinite(queries).all(axis=1)
+    good = count if finite.all() else int(finite.argmin())
+    if good:
+        check_count("candidates", candidates, index.count)
+        check_count("top_k", top_k, candidates)
+    num_books, book_size = index.quantizer.num_books, index.quantizer.book_size
+    tables = _table_block(queries[:good], index.quantizer).reshape(-1)  # row-major (Q, m, k)
+    query_codes = sign_encode(queries)  # a non-finite row `good` raises here
+    dists = _distance_block(query_codes.words, index.codes.words)
+    shortlists = np.sort(nearest_first(dists, candidates), axis=1)
+    columns = index.indicators.indices.T  # (m, N), each book's column contiguous
+    offsets = np.arange(0, count * num_books * book_size, num_books * book_size)[:, None]
+    scores = tables.take(columns[0].take(shortlists) + offsets)
+    for book in range(1, num_books):
+        scores += tables.take(columns[book].take(shortlists) + (offsets + book * book_size))
+    chosen = nearest_first(-scores, top_k)
+    indices = np.take_along_axis(shortlists, chosen, axis=1)
+    scores = np.take_along_axis(scores, chosen, axis=1)
+    for block in (indices, scores):
+        block.setflags(write=False)  # each result's arrays are read-only rows of these blocks
+    return [_trusted(RankedResult, indices=i, scores=s) for i, s in zip(indices, scores)]
 
 
 def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
@@ -161,8 +190,7 @@ def full_aqd_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> Ran
 
 def hash_only_query(query_feature, index: RetrievalIndex, top_k: int = 10) -> RankedResult:
     """Rank by ascending Hamming distance only; score is minus the distance."""
-    row = _query_row(query_feature, index.dim)
-    query_codes = sign_encode(row.reshape(1, -1))
+    query_codes = sign_encode(_query_rows(query_feature, index.dim, single=True))
     check_count("top_k", top_k, index.count)
     dists = hamming_distances(query_codes, index.codes)
     chosen = nearest_first(dists, top_k)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hashquant import (
     CostModel,
     CountMismatch,
+    DimMismatch,
     EvalReport,
     FeatureMatrix,
     IndicatorSet,
@@ -297,6 +299,129 @@ class TestPooledRankedResults:
         assert pool._usable_cpus() == 5
         monkeypatch.setattr(pool.os, "cpu_count", lambda: None)
         assert pool._usable_cpus() == 1
+
+
+def tied_index(count, dim, seed, patterns=3, books=2, codebooks=None):
+    """A `count`-item index over `books` books of 3 columns, its rows drawn from <= 3 sign patterns.
+
+    Few codes and, at 2 books, few column pairs give dense ties at both
+    stages, so only the index tie-break orders most items; more books make
+    the order of the per-book additions show in the scores.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((patterns, dim))[rng.integers(0, patterns, size=count)]
+    return RetrievalIndex(
+        codes=sign_encode(rows),
+        quantizer=QuantizerModel(
+            codebooks=rng.standard_normal((books, dim, 3)) if codebooks is None else codebooks
+        ),
+        indicators=IndicatorSet(book_size=3, indices=rng.integers(0, 3, size=(count, books))),
+    )
+
+
+def per_row_two_stage(queries, index, candidates, top_k):
+    return [two_stage_query(q, index, candidates=candidates, top_k=top_k) for q in queries]
+
+
+def raised(run):
+    """The type and message of what run() raises."""
+    with pytest.raises(Exception) as caught:
+        run()
+    return type(caught.value), str(caught.value)
+
+
+class TestBlockedTwoStage:
+    @given(
+        dim=st.sampled_from([1, 63, 64, 65, 130]),
+        count=st.integers(min_value=1, max_value=16),
+        patterns=st.integers(min_value=1, max_value=3),
+        books=st.sampled_from([2, 4]),
+        rows=st.integers(min_value=0, max_value=7),
+        block_rows=st.sampled_from([1, 3, None]),
+        integer_rows=st.booleans(),
+        order=st.sampled_from("CF"),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocks_equal_the_per_row_loop_bit_for_bit(
+        self, dim, count, patterns, books, rows, block_rows, integer_rows, order, seed
+    ):
+        index = tied_index(count, dim, seed, patterns, books)
+        rng = np.random.default_rng([seed, 1])
+        # integer rows hold zeros, whose sign is +1, and repeat sign patterns across rows
+        queries = rng.integers(-1, 2, size=(rows, dim)) if integer_rows else rng.standard_normal((rows, dim))
+        queries = np.asarray(queries, order=order)  # a Fortran-order block's rows are strided
+        queries.setflags(write=False)
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows:  # blocks of 1 or 3 rows put 4-7 rows in more than one block
+                patch.setattr(evaluate, "BLOCK_CELLS", block_rows * count)
+            for candidates in sorted({0, 1, int(rng.integers(0, count + 1)), count}):
+                for top_k in range(candidates + 1):
+                    got = ranked_results(queries, mode="two_stage", index=index, top_k=top_k, candidates=candidates)
+                    expected = per_row_two_stage(queries, index, candidates, top_k)
+                    assert len(got) == len(expected)
+                    for by_block, by_row in zip(got, expected):
+                        assert by_block.indices.dtype == np.int64 and by_block.scores.dtype == np.float64
+                        assert by_block.indices.tobytes() == by_row.indices.tobytes()
+                        assert by_block.scores.tobytes() == by_row.scores.tobytes()
+                        assert not (by_block.indices.flags.writeable or by_block.scores.flags.writeable)
+
+    @pytest.mark.parametrize(
+        "bad_rows, candidates",
+        [({}, -1), ({0: np.nan}, 10), ({0: np.nan}, -1), ({4: np.nan}, 10), ({6: -np.inf}, 10),
+         ({2: 1e300}, 10), ({2: 1e300}, -1), ({1: 1e300, 3: np.nan}, 10), ({1: np.nan, 3: 1e300}, 10)],
+        ids=["bad_count", "nan_first", "nan_first_and_bad_count", "nan_second_block", "inf_last",
+             "overflow", "overflow_and_bad_count", "overflow_then_nan", "nan_then_overflow"],
+    )
+    def test_a_failing_block_raises_as_the_per_row_loop(self, bad_rows, candidates):
+        # 1e300 times the 1e10 codebooks overflows the row's table; nothing else does
+        index = tied_index(40, 8, seed=2, codebooks=np.full((2, 8, 3), 1e10))
+        queries = np.random.default_rng(3).standard_normal((7, 8))
+        for row, value in bad_rows.items():
+            queries[row] = value
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(evaluate, "BLOCK_CELLS", 3 * index.count)
+            serial = raised(lambda: per_row_two_stage(queries, index, candidates, 5))
+            blocked = raised(lambda: ranked_results(
+                queries, mode="two_stage", index=index, top_k=5, candidates=candidates
+            ))
+        assert blocked == serial
+
+    @pytest.mark.parametrize("mode", POOL_MODES)
+    def test_queries_are_one_row_or_a_block_of_rows(self, mode, at_gate):
+        index, database, queries = at_gate
+        small = tied_index(30, POOL_DIM, seed=4)
+        for target in (index, small):
+            run = partial(
+                ranked_results, mode=mode, index=target, database_features=database,
+                top_k=POOL_TOP_K, candidates=POOL_CANDIDATES,
+            )
+            if mode == "lossless" and target is small:
+                continue  # lossless ranks the database, whatever the index
+            one = run(queries[0])
+            assert len(one) == 1 and np.array_equal(one[0].indices, run(queries[:1])[0].indices)
+            # a (2, 2, dim) array holds whole rows but is no (Q, dim) block
+            with pytest.raises(DimMismatch, match="shape"):
+                run(queries[:4].reshape(2, 2, POOL_DIM))
+            # a block of the wrong width raises what its first row raises alone
+            wide = np.ones((3, POOL_DIM + 1))
+            assert raised(lambda: run(wide)) == raised(lambda: POOL_MODES[mode](wide[0], target, database))
+
+    def test_only_indexes_below_block_max_items_take_the_block_path(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return two_stage_query(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "two_stage_query", counted)
+        for count, rows_alone in ((evaluate.BLOCK_MAX_ITEMS - 1, 0), (evaluate.BLOCK_MAX_ITEMS, 7)):
+            index, _, queries = dense_tie_setup(count)
+            calls.clear()
+            got = ranked_results(queries, mode="two_stage", index=index, top_k=POOL_TOP_K, candidates=POOL_CANDIDATES)
+            assert len(calls) == rows_alone
+            assert_same_rankings(got, [
+                two_stage_query(q, index, candidates=POOL_CANDIDATES, top_k=POOL_TOP_K) for q in queries
+            ])
 
 
 class TestHarmonicMean:

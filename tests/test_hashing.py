@@ -146,7 +146,7 @@ def test_top_candidates_too_many():
         hamming_top_candidates(query, database, 4)
 
 
-@pytest.mark.parametrize("candidates", [2.5, -1], ids=["float", "negative"])
+@pytest.mark.parametrize("candidates", [2.5, -1, True, np.True_], ids=["float", "negative", "bool", "numpy_bool"])
 def test_top_candidates_bad_count_is_a_value_error_naming_candidates(candidates):
     database = encode_rows(np.ones((3, 8)))
     query = encode_rows(np.ones(8))
@@ -241,6 +241,7 @@ def test_sign_encode_words_match_the_reference_and_keep_zero_padding(dim, rng):
             assert not (words[:, -1] >> np.uint64(WORD_BITS - pad_bits)).any()
         # the checked constructor accepts the unchecked value's words unchanged
         assert np.array_equal(PackedCodes(dim=dim, words=words).words, words)
+        assert np.array_equal(sign_encode(np.asfortranarray(rows)).words, words)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (0, 0), (1, MAX_CODE_DIM + 1)])
@@ -267,3 +268,38 @@ def test_nearest_first_sort_and_partition_branches_agree(length, pool, seed):
             padded = np.concatenate([keys, np.full(2 * count + 1, above, dtype=keys.dtype)])
             assert nearest_first(keys, count).tolist() == order[:count].tolist()
             assert nearest_first(padded, count).tolist() == order[:count].tolist()
+
+
+@given(
+    rows=st.integers(min_value=0, max_value=4),
+    length=st.integers(min_value=1, max_value=40),
+    pool=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_nearest_first_rows_of_a_block_equal_the_one_row_calls(rows, length, pool, seed):
+    # keys drawn from <= 3 values per row tie heavily; distances reach the top of the uint16 range
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, pool, size=(rows, length))
+    distances = rng.choice([0, 1, 2, MAX_CODE_DIM], size=(rows, pool)).astype(np.uint16)
+    scores = -(rng.integers(-3, 4, size=(rows, pool)) / 3.0)
+    for keys in (np.take_along_axis(distances, picks, axis=1), np.take_along_axis(scores, picks, axis=1)):
+        for count in range(length + 1):
+            got = nearest_first(keys, count)
+            assert got.shape == (rows, count) and got.dtype == np.int64
+            for row in range(rows):
+                assert got[row].tolist() == nearest_first(keys[row], count).tolist()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [np.array([[3, 1, 1, 0, 3]] * 2, dtype=np.uint16),
+     np.array([[3, 1, 1, 0, 3]], dtype=np.int64),
+     np.tile(np.array([MAX_CODE_DIM, 7, 7, 0], dtype=np.uint16), (2, 20_000))],
+    ids=["packed_32_bit", "signed_keys_sort", "packed_64_bit"],
+)
+def test_nearest_first_block_branches_equal_the_one_row_calls(keys):
+    # 80_000 keys a row need 17 index bits, too many to pack beside a uint16 key in 32 bits
+    for count in (0, 1, 3, keys.shape[1] // 2, keys.shape[1]):
+        got = nearest_first(keys, count)
+        for row in range(keys.shape[0]):
+            assert got[row].tolist() == nearest_first(keys[row], count).tolist()

@@ -255,6 +255,41 @@ def test_non_integer_top_k_or_candidates_named(mode, rng):
         with pytest.raises(ValueError, match="candidates"):
             two_stage_query(features[0], index, candidates=10.5, top_k=2)
         assert len(two_stage_query(features[0], index, candidates=np.uint8(10), top_k=np.int32(2))) == 2
+    for flag in (True, np.True_):  # a bool is no count, though Python's True is an int
+        with pytest.raises(ValueError, match="top_k must be an integer"):
+            query(features[0], index, features, flag)
+        if mode == "two_stage":
+            with pytest.raises(ValueError, match="candidates must be an integer"):
+                two_stage_query(features[0], index, candidates=flag, top_k=0)
+
+
+@pytest.mark.parametrize("mode", list(QUERY_MODES))
+def test_a_query_is_one_row_of_dim_values(mode, rng):
+    features, index = make_index(rng, count=30)
+    query = QUERY_MODES[mode]
+    row = features[0]
+    as_row, as_block_of_one = query(row, index, features, 5), query(row.reshape(1, -1), index, features, 5)
+    assert np.array_equal(as_row.indices, as_block_of_one.indices)
+    assert np.array_equal(as_row.scores, as_block_of_one.scores)
+    # 16 values in any other shape are no query of dim 16, nor are two rows of it
+    for bad in (row.reshape(2, 8), row.reshape(16, 1), row.reshape(1, 1, 16), np.vstack([row, row])):
+        with pytest.raises(DimMismatch, match="shape"):
+            query(bad, index, features, 5)
+        with pytest.raises(DimMismatch, match="shape"):
+            build_lookup_table(bad, index.quantizer)
+    with pytest.raises(DimMismatch, match="query has dim 17, expected dim 16"):
+        query(np.ones(17), index, features, 5)
+
+
+@pytest.mark.parametrize("mode", list(QUERY_MODES))
+def test_a_query_result_does_not_depend_on_the_row_layout(mode, rng):
+    # BLAS rounds a strided vector's dot products unlike a contiguous one's; dim 63 shows it
+    features, index = make_index(rng, count=30, dim=63)
+    for strided in np.asfortranarray(rng.standard_normal((3, 63))):
+        by_strided = QUERY_MODES[mode](strided, index, features, 10)
+        by_contiguous = QUERY_MODES[mode](strided.copy(), index, features, 10)
+        assert by_strided.indices.tobytes() == by_contiguous.indices.tobytes()
+        assert by_strided.scores.tobytes() == by_contiguous.scores.tobytes()
 
 
 @pytest.mark.parametrize("mode", list(QUERY_MODES))

@@ -8,7 +8,8 @@ this script sits in, with BLAS pinned to one thread.  For each case (dim 16
 over 6 x 40 items and dim 130 over 4 x 30 items, m = 2, k = 8) it runs
 synth -> train -> build, `query` in two_stage, full_aqd and hash_only mode
 with candidates = N plus lossless, `eval` in all four modes, and `bench` with
-`--sweep alpha` and `--sweep n`.  A last case, `dim16_pooled`, synthesises
+`--sweep alpha` and `--sweep n`; at these sizes every two-stage batch, the
+`eval` and alpha-sweep MAPs included, runs `ranked_results`' block kernel.  A last case, `dim16_pooled`, synthesises
 a 4 x 16384 = 65536-item database, builds it with the dim-16 model and runs
 the dim-16 queries against it in the four `query` modes (100 candidates):
 at that size `ranked_results` runs query slices on a thread pool when more

@@ -47,11 +47,12 @@ PARALLEL_MIN_ITEMS = 65536
 # Below this database size ranked_results answers two-stage queries a block
 # of rows at a time (retrieval._two_stage_rows), bit for bit the per-row
 # answers.  A block saves each query's Python overhead, while its work per
-# query over the N items stays, so the gain shrinks as N grows.  With BLAS on one thread, 50-query
-# blocks ran at 2.3-2.9x the per-row loop at 5000 items and dims 32-128, and
-# at 1.09-1.39x at 32768 items; at 49152 items and dim 512 the block lost
-# (0.85x), so the gate is where every dim measured still wins
-# (README § Concurrency).  At PARALLEL_MIN_ITEMS and up the pool takes over.
+# query over the N items stays, so the gain shrinks as N grows.  With BLAS
+# on one thread, 50-query blocks ran at 2.3-2.5x the per-row loop at 5000
+# items and dims 32-128, and at 1.09-1.39x at 32768 items; at 49152 items
+# and dim 512 the block lost (0.85x), so the gate is where every dim
+# measured still wins (README § Concurrency).  At PARALLEL_MIN_ITEMS and up
+# the pool takes over.
 BLOCK_MAX_ITEMS = 32768
 # a block holds BLOCK_CELLS // N rows, so its (Q, N) uint64 XOR block stays at 2 MiB
 BLOCK_CELLS = 1 << 18
